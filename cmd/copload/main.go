@@ -139,7 +139,8 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := &http.Server{Handler: srv.Handler(), Protocols: new(http.Protocols)}
+		hs.Protocols.SetUnencryptedHTTP2(true) // what Dial speaks to http:// bases
 		go func() { _ = hs.Serve(ln) }()
 		defer func() { _ = hs.Close(); _ = srv.Close() }()
 		base = "http://" + ln.Addr().String()
@@ -164,6 +165,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer c.Close()
 	if *create && *target != "" {
 		if err := c.CreateTenant(*tenant, tcfg); err != nil {
 			return fmt.Errorf("create tenant: %w", err)
@@ -195,6 +197,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer sc.Close()
 		scheme, err := cli.SingleScheme(*mem.Scheme)
 		if err != nil {
 			return err

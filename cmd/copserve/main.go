@@ -1,27 +1,29 @@
 // Command copserve exposes protected memories as a networked block-store
 // service: multi-tenant namespaces (each an isolated batched front-end
-// with its own protection scheme), a binary batch datapath that maps one
-// network request onto one per-shard batch window, live-operations admin
+// with its own protection scheme), a binary frame datapath that maps one
+// frame onto one per-shard batch window, live-operations admin
 // (scheme migration, resharding, patrol scrubbing), the full telemetry
 // surface, readiness probes, and graceful drain on SIGTERM — every
 // acknowledged write is durable in the tenants' DRAM images before the
 // process exits.
 //
-// TLS (a self-minted cert by default) is what unlocks HTTP/2: net/http
-// negotiates h2 over ALPN, so load generators multiplex many in-flight
-// batch frames per connection. A plaintext HTTP/1.1 listener is available
-// for curl-style poking.
+// Both listeners speak HTTP/2: the TLS one (a self-minted cert by default)
+// negotiates h2 over ALPN, and the plaintext one accepts unencrypted
+// HTTP/2 with prior knowledge (h2c) next to HTTP/1.1 for curl-style
+// poking. A copnet client carries all its frames on one long-lived stream
+// over either.
 //
 // Usage:
 //
 //	copserve                                    # h2 on 127.0.0.1:7070, tenant "default" (cop-er)
 //	copserve -tls-cert-out cop.pem              # write the cert for copload -ca
 //	copserve -tenants red,blue -scheme cop       # two namespaces, plain COP
-//	copserve -plain-addr 127.0.0.1:7071         # extra plaintext listener
+//	copserve -plain-addr 127.0.0.1:7071         # extra plaintext listener (h2c + HTTP/1.1)
 //	copserve -scrub 50ms                        # patrol scrubber per tenant
 //	copserve -trace -slow-threshold 5ms -slow-freeze  # tail-latency black box
 //
-// Endpoints: POST /v1/tenants/{t}/batch (binary frames), GET|PUT
+// Endpoints: POST /v1/tenants/{t}/stream (a client's long-lived frame
+// stream), POST /v1/tenants/{t}/batch (one binary frame), GET|PUT
 // /v1/tenants/{t}/block/{addr}, POST .../flush, GET .../snapshot, admin
 // under /admin/tenants, probes /healthz + /readyz, telemetry /metrics +
 // /snapshot + /debug/*.
@@ -61,7 +63,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	fs.SetOutput(stdout)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7070", "TLS+HTTP/2 listen address (empty: disabled)")
-		plainAddr = fs.String("plain-addr", "", "plaintext HTTP/1.1 listen address (empty: disabled)")
+		plainAddr = fs.String("plain-addr", "", "plaintext listen address, h2c and HTTP/1.1 (empty: disabled)")
 		certOut   = fs.String("tls-cert-out", "", "write the self-signed certificate PEM here (clients pin it via copload -ca)")
 		tenants   = fs.String("tenants", "default", "comma-separated namespaces to provision at boot")
 		scrubEach = fs.Duration("scrub", 0, "start a patrol scrubber per tenant with this pass interval (0: off)")
@@ -157,14 +159,16 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("listen %s: %w", *plainAddr, err)
 		}
-		hs := &http.Server{Handler: handler}
+		hs := &http.Server{Handler: handler, Protocols: new(http.Protocols)}
+		hs.Protocols.SetHTTP1(true)
+		hs.Protocols.SetUnencryptedHTTP2(true)
 		go func() { _ = hs.Serve(ln) }()
 		servers = append(servers, hs)
 		lns = append(lns, ln)
 		if baseURL == "" {
 			baseURL = "http://" + ln.Addr().String()
 		}
-		fmt.Fprintf(stdout, "copserve: serving http://%s (plaintext HTTP/1.1)\n", ln.Addr().String())
+		fmt.Fprintf(stdout, "copserve: serving http://%s (plaintext h2c and HTTP/1.1)\n", ln.Addr().String())
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -35,11 +35,15 @@ type Line struct {
 	Data []byte
 }
 
+// way is one slot of a set. lru is the tick of its last touch, and 0
+// exactly when the slot is empty (the tick is bumped before every use), so
+// the record is a Line plus one word: 48 bytes.
 type way struct {
-	valid bool
-	line  Line
-	lru   uint64
+	line Line
+	lru  uint64
 }
+
+func (w *way) valid() bool { return w.lru != 0 }
 
 // Stats counts cache events.
 //
@@ -91,8 +95,9 @@ func New(sizeBytes, ways, blockBytes int) *Cache {
 		shift:    shift,
 		ways:     ways,
 	}
+	slab := make([]way, nsets*ways)
 	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
+		c.sets[i] = slab[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return c
 }
@@ -178,7 +183,7 @@ func (c *Cache) Lookup(addr uint64) (line *Line, victim Line, writeback, hit boo
 	si := c.setIdx(addr)
 	for i := range c.sets[si] {
 		w := &c.sets[si][i]
-		if w.valid && w.line.Addr == addr {
+		if w.valid() && w.line.Addr == addr {
 			c.tick++
 			w.lru = c.tick
 			c.tel.Hits.Inc()
@@ -209,7 +214,7 @@ func (c *Cache) Lookup(addr uint64) (line *Line, victim Line, writeback, hit boo
 				victim, writeback = c.insertInto(si, promoted)
 				for j := range c.sets[si] {
 					w := &c.sets[si][j]
-					if w.valid && w.line.Addr == addr {
+					if w.valid() && w.line.Addr == addr {
 						return &w.line, victim, writeback, true
 					}
 				}
@@ -233,7 +238,7 @@ func (c *Cache) DirtyLines(excludeAlias bool) int {
 	for _, set := range c.sets {
 		for i := range set {
 			l := &set[i]
-			if l.valid && l.line.Dirty && !(excludeAlias && l.line.Alias) {
+			if l.valid() && l.line.Dirty && !(excludeAlias && l.line.Alias) {
 				n++
 			}
 		}
@@ -254,7 +259,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	addr = blockAlign(addr, c.shift)
 	si := c.setIdx(addr)
 	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].line.Addr == addr {
+		if c.sets[si][i].valid() && c.sets[si][i].line.Addr == addr {
 			return true
 		}
 	}
@@ -273,7 +278,7 @@ func (c *Cache) Peek(addr uint64) (*Line, bool) {
 	addr = blockAlign(addr, c.shift)
 	si := c.setIdx(addr)
 	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].line.Addr == addr {
+		if c.sets[si][i].valid() && c.sets[si][i].line.Addr == addr {
 			return &c.sets[si][i].line, true
 		}
 	}
@@ -291,7 +296,7 @@ func (c *Cache) Peek(addr uint64) (*Line, bool) {
 func (c *Cache) ForEachLine(fn func(*Line)) {
 	for _, set := range c.sets {
 		for i := range set {
-			if set[i].valid {
+			if set[i].valid() {
 				fn(&set[i].line)
 			}
 		}
@@ -314,7 +319,7 @@ func (c *Cache) Insert(line Line) (victim Line, writeback bool) {
 	// Replace in place if already resident.
 	for i := range c.sets[si] {
 		w := &c.sets[si][i]
-		if w.valid && w.line.Addr == line.Addr {
+		if w.valid() && w.line.Addr == line.Addr {
 			c.tick++
 			c.drop(w.line, line)
 			w.line = line
@@ -330,8 +335,8 @@ func (c *Cache) insertInto(si int, line Line) (victim Line, writeback bool) {
 	set := c.sets[si]
 	// Free way?
 	for i := range set {
-		if !set[i].valid {
-			set[i] = way{valid: true, line: line, lru: c.tick}
+		if !set[i].valid() {
+			set[i] = way{line: line, lru: c.tick}
 			return Line{}, false
 		}
 	}
@@ -353,7 +358,7 @@ func (c *Cache) insertInto(si int, line Line) (victim Line, writeback bool) {
 			}
 		}
 		victim = set[vi].line
-		set[vi] = way{valid: true, line: line, lru: c.tick}
+		set[vi] = way{line: line, lru: c.tick}
 		c.tel.Evictions.Inc()
 		if c.th.Enabled() {
 			c.th.Record(trace.KindCacheEvict, victim.Addr, 0, lineFlags(victim), 0, 0, 0)
@@ -379,7 +384,7 @@ func (c *Cache) insertInto(si int, line Line) (victim Line, writeback bool) {
 	}
 	c.overflow[si] = append(c.overflow[si], set[li].line)
 	c.tel.OverflowOccupancy.Observe(uint64(len(c.overflow[si])))
-	set[li] = way{valid: true, line: line, lru: c.tick}
+	set[li] = way{line: line, lru: c.tick}
 	return Line{}, false
 }
 
@@ -399,9 +404,9 @@ func (c *Cache) Evict(addr uint64) (Line, bool, bool) {
 	si := c.setIdx(addr)
 	for i := range c.sets[si] {
 		w := &c.sets[si][i]
-		if w.valid && w.line.Addr == addr {
+		if w.valid() && w.line.Addr == addr {
 			line := w.line
-			w.valid = false
+			w.lru = 0
 			c.tel.Evictions.Inc()
 			if line.Dirty {
 				c.tel.Writebacks.Inc()
@@ -434,9 +439,9 @@ func (c *Cache) Evict(addr uint64) (Line, bool, bool) {
 func (c *Cache) FlushAll(fn func(Line)) {
 	for si := range c.sets {
 		for i := range c.sets[si] {
-			if c.sets[si][i].valid {
+			if c.sets[si][i].valid() {
 				fn(c.sets[si][i].line)
-				c.sets[si][i].valid = false
+				c.sets[si][i].lru = 0
 			}
 		}
 	}

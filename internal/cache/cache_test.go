@@ -3,9 +3,19 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func newSmall() *Cache { return New(4*64*4, 4, 64) } // 4 sets, 4 ways
+
+// TestWayRecordSize pins a way at 48 bytes: a Line and its LRU tick, with
+// emptiness folded into the tick. Every LLC line pays for this record, so
+// an extra field is ~0.5 MiB on a 4 MiB LLC.
+func TestWayRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 48 {
+		t.Fatalf("way record is %d bytes, want 48", n)
+	}
+}
 
 func TestBasicHitMiss(t *testing.T) {
 	c := newSmall()

@@ -1,15 +1,17 @@
 package copnet
 
 // Allocation guards for the wire datapath: once warmed, the client frame
-// encode, the server request decode + execute, and the client response
-// parse must not touch the heap. These are the per-request layers around
+// encode, the server request decode + execute, the server's stream loop
+// and the client response parse must not touch the heap. These are the per-request layers around
 // the already-guarded codec/memctrl paths (TestCodecZeroAlloc), so a
 // regression here reintroduces GC pressure on every network request even
 // when the memory hierarchy underneath stays clean. The budget is pinned
 // at exactly zero.
 
 import (
+	"bytes"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"cop/internal/memctrl"
@@ -57,7 +59,7 @@ func TestWireZeroAlloc(t *testing.T) {
 	// Server decode: parse the request frame into a reused op table.
 	sc := &frameScratch{}
 	var decodeErr error
-	decode := func() { sc.ops, sc.traceID, decodeErr = decodeRequestInto(sc.ops[:0], batch.buf) }
+	decode := func() { sc.ops, sc.traceID, decodeErr = decodeRequestInto(sc.ops[:0], batch.buf[streamPrefix:]) }
 	decode()
 	if decodeErr != nil {
 		t.Fatalf("setup: decode: %v", decodeErr)
@@ -88,6 +90,27 @@ func TestWireZeroAlloc(t *testing.T) {
 		}
 	}
 
+	// Server stream loop: four length-prefixed frames through serveStream
+	// — prefix and body reads, admission, execution, the record write and
+	// its flush — on one held scratch, as an open stream runs them.
+	srv := NewServer()
+	if _, err := srv.AddTenant("alloc", tenant.store); err != nil {
+		t.Fatal(err)
+	}
+	records := bytes.Repeat(streamRecord(batch.buf[streamPrefix:]), 4)
+	rd := bytes.NewReader(records)
+	w := newDiscardWriter()
+	rc := http.NewResponseController(w)
+	streamSC := &frameScratch{}
+	stream := func() {
+		rd.Reset(records)
+		srv.serveStream("alloc", streamSC, rd, w, rc)
+	}
+	stream()
+	if frames := srv.net.Snapshot().Frames; frames != 4 {
+		t.Fatalf("setup: stream loop served %d frames, want 4", frames)
+	}
+
 	cases := []struct {
 		name string
 		fn   func()
@@ -96,6 +119,7 @@ func TestWireZeroAlloc(t *testing.T) {
 		{"decodeRequestInto", decode},
 		{"execBatch", exec},
 		{"parseResults", parse},
+		{"serveStream", stream},
 	}
 	for _, c := range cases {
 		c.fn() // warm every lazily-grown buffer before measuring

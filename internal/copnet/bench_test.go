@@ -9,7 +9,6 @@ package copnet
 
 import (
 	"math/rand"
-	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -36,8 +35,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
-	defer func() { hs.Close(); _ = srv.Close() }()
+	hs := serveH2C(b, srv)
 
 	blocks := make([][]byte, footprint)
 	rng := rand.New(rand.NewSource(1))

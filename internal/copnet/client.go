@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,19 +25,26 @@ import (
 // the oracle checks span the full client → wire → server → memory path.
 //
 // Single-op methods ride one-op batch frames. For throughput, build
-// multi-op frames with NewBatch: one HTTP request becomes one group
-// window on the server (deep per-shard batches), which is the network
-// analogue of shard.Group.
+// multi-op frames with NewBatch: one frame becomes one group window on the
+// server (deep per-shard batches), which is the network analogue of
+// shard.Group.
 //
-// A Client is safe for concurrent use; each Batch is single-submitter,
-// like the shard.Group it maps onto. For pipelining, run several batches
-// concurrently — Batch.Start issues a frame without blocking, so one
-// goroutine can keep N frames in flight over N batches (HTTP/2 multiplexes
-// them onto one connection; HTTP/1.1 falls back to pooled connections).
+// Every frame rides the client's one long-lived stream (see the package
+// comment), opened on the first frame and reopened by the first frame
+// after it dies. A Client is safe for concurrent use; each Batch is
+// single-submitter, like the shard.Group it maps onto. For pipelining,
+// run several batches concurrently — Batch.Start issues a frame without
+// blocking, so one goroutine can keep N frames in flight over N batches.
+// Close ends the stream.
 type Client struct {
 	base   string
 	tenant string
 	hc     *http.Client
+
+	// sendMu orders frames onto the stream: a frame joins sess.inflight
+	// and is written under it, so the queue order is the wire order.
+	sendMu sync.Mutex
+	sess   *session // nil until the first frame, and again once it dies
 
 	// batches recycles Batch objects (wire buffer, response body, result
 	// table) across the single-op Store/Target methods, so a steady-state
@@ -118,10 +126,10 @@ func WithInsecureTLS() ClientOption {
 // or "http://..." for the plaintext listener). No connection is made until
 // the first request.
 //
-// The default transport keeps a deep per-host idle pool: many Clients (or
-// one Client with many frames in flight) would thrash connections through
-// http.DefaultTransport's two-per-host idle cap, paying a dial plus
-// handshake on most frames.
+// The default transport speaks HTTP/2 on both: negotiated over TLS for
+// https:// bases, and unencrypted with prior knowledge (h2c) for http://
+// ones, which copserve's plaintext listener serves. Either way the
+// client's stream and its admin requests share one connection.
 func Dial(base string, opts ...ClientOption) (*Client, error) {
 	if base == "" {
 		return nil, fmt.Errorf("copnet: empty base URL")
@@ -129,12 +137,12 @@ func Dial(base string, opts ...ClientOption) (*Client, error) {
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 		base = "http://" + base
 	}
-	hc := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 256,
-		ForceAttemptHTTP2:   true,
-	}}
-	c := &Client{base: strings.TrimRight(base, "/"), tenant: "default", hc: hc}
+	tr := &http.Transport{ForceAttemptHTTP2: true}
+	if strings.HasPrefix(base, "http://") {
+		tr.Protocols = new(http.Protocols)
+		tr.Protocols.SetUnencryptedHTTP2(true)
+	}
+	c := &Client{base: strings.TrimRight(base, "/"), tenant: "default", hc: &http.Client{Transport: tr}}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -151,7 +159,7 @@ func (c *Client) tenantURL(suffix string) string {
 }
 
 // maxJSONResponseBytes caps the admin/telemetry JSON bodies the client
-// will buffer; binary batch responses carry a per-batch bound instead.
+// will buffer; binary frame responses carry a per-batch bound instead.
 const maxJSONResponseBytes = 1 << 24
 
 // maxErrMsgBytes is the per-op error-message allowance folded into a
@@ -159,18 +167,11 @@ const maxJSONResponseBytes = 1 << 24
 // widens the bound, it never allocates).
 const maxErrMsgBytes = 4096
 
-// do issues a request and returns the whole response body; non-2xx
-// statuses become errors carrying the server's message.
+// do issues a request and returns the whole response body, bounded at
+// maxJSONResponseBytes so a misbehaving or hostile server cannot balloon
+// the client; non-2xx statuses become errors carrying the server's
+// message.
 func (c *Client) do(method, url, contentType string, body []byte) ([]byte, error) {
-	return c.doInto(nil, method, url, contentType, body, maxJSONResponseBytes)
-}
-
-// doInto issues a request and reads the response into dst (capacity
-// reused), bounding the read at limit bytes — the response analogue of
-// the server's readBodyInto, so a misbehaving or hostile server cannot
-// balloon the client. Non-2xx statuses become errors carrying the
-// server's message.
-func (c *Client) doInto(dst []byte, method, url, contentType string, body []byte, limit int) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -187,50 +188,31 @@ func (c *Client) doInto(dst []byte, method, url, contentType string, body []byte
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		// Error bodies are human-readable lines; buffer at most the
-		// message allowance and truncate the rest — the status must
-		// surface whatever the body's size claims.
-		buf := grow(dst, maxErrMsgBytes)
-		n, _ := io.ReadFull(resp.Body, buf)
-		return buf[:0], fmt.Errorf("copnet: %s %s: %s: %s",
-			method, url, resp.Status, strings.TrimSpace(string(buf[:n])))
+	if err := statusError(resp, method, url); err != nil {
+		return nil, err
 	}
-	return readRespInto(dst, resp, limit)
+	out, err := io.ReadAll(io.LimitReader(resp.Body, maxJSONResponseBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("copnet: read response: %w", err)
+	}
+	if len(out) > maxJSONResponseBytes {
+		return nil, fmt.Errorf("copnet: response exceeds the %d-byte cap", maxJSONResponseBytes)
+	}
+	return out, nil
 }
 
-// readRespInto reads an HTTP response body into buf (capacity reused),
-// erroring if it exceeds limit. A declared Content-Length presizes the
-// buffer and reads it in full pulls; chunked bodies fall back to
-// incremental appends under the same cap.
-func readRespInto(buf []byte, resp *http.Response, limit int) ([]byte, error) {
-	if cl := resp.ContentLength; cl >= 0 {
-		if cl > int64(limit) {
-			return buf[:0], fmt.Errorf("copnet: response of %d bytes exceeds the %d-byte cap", cl, limit)
-		}
-		buf = grow(buf, int(cl))
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return buf[:0], fmt.Errorf("copnet: read response: %w", err)
-		}
-		return buf, nil
+// statusError turns a non-2xx response into an error carrying the
+// server's message. Error bodies are human-readable lines; at most the
+// message allowance is read and the rest truncated — the status must
+// surface whatever the body's size claims.
+func statusError(resp *http.Response, method, url string) error {
+	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		return nil
 	}
-	buf = buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if len(buf) > limit {
-			return buf[:0], fmt.Errorf("copnet: response exceeds the %d-byte cap", limit)
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf[:0], fmt.Errorf("copnet: read response: %w", err)
-		}
-	}
+	buf := make([]byte, maxErrMsgBytes)
+	n, _ := io.ReadFull(resp.Body, buf)
+	return fmt.Errorf("copnet: %s %s: %s: %s",
+		method, url, resp.Status, strings.TrimSpace(string(buf[:n])))
 }
 
 // --- batches -------------------------------------------------------------
@@ -255,11 +237,14 @@ type Batch struct {
 
 	// respBound is the proven upper bound on this frame's response size:
 	// per op, the larger of its success payload and the error-message
-	// allowance. It bounds doInto's read — never allocated, only checked.
+	// allowance. It bounds the response read — never allocated, only
+	// checked.
 	respBound int
 
 	body    []byte   // reused response frame buffer
 	results []Result // reused result table (Data fields alias body)
+
+	p PendingBatch // the frame in flight (a batch has at most one)
 }
 
 // Result is one operation's outcome. Data aliases the response buffer
@@ -286,11 +271,14 @@ func (c *Client) NewBatch() *Batch {
 // starts as a version-2 header carrying a fresh trace id.
 func (b *Batch) Reset() {
 	b.trace = 0
+	// The buffer leads with the stream record's length prefix, so the
+	// record goes out in one write; Start fills it in.
+	b.buf = append(b.buf[:0], 0, 0, 0, 0)
 	if c := b.c; c != nil && c.th.Enabled() {
 		b.trace = c.nextTraceID()
-		b.buf = appendU64(append(b.buf[:0], wireMagic, wireVersionTraced), b.trace)
+		b.buf = appendU64(append(b.buf, wireMagic, wireVersionTraced), b.trace)
 	} else {
-		b.buf = append(b.buf[:0], wireMagic, wireVersion)
+		b.buf = append(b.buf, wireMagic, wireVersion)
 	}
 	b.kinds = b.kinds[:0]
 	b.respBound = 2 // responses are always version 1
@@ -384,38 +372,13 @@ func (b *Batch) InjectChip(addr uint64, chip int, pattern byte) *Batch {
 func (b *Batch) Len() int { return len(b.kinds) }
 
 // Do ships the frame and returns per-op results in enqueue order. A
-// non-nil error means the frame itself failed (transport, HTTP status,
-// malformed response) and no per-op outcome is known; per-op failures
-// land in Result.Err. The batch resets for refilling either way; the
-// returned results (and their Data payloads) stay valid until the next
-// Do on this batch.
+// non-nil error means the frame itself failed (transport, a refused
+// frame, malformed response) and no per-op outcome is known; per-op
+// failures land in Result.Err. The batch resets for refilling either way;
+// the returned results (and their Data payloads) stay valid until the
+// next Do on this batch.
 func (b *Batch) Do() ([]Result, error) {
-	if len(b.kinds) == 0 {
-		return nil, nil
-	}
-	tid, n := b.trace, len(b.kinds)
-	if tid != 0 {
-		b.c.th.RecordFlow(trace.KindNetFrameSend, FrameSpan(tid), 0,
-			uint32(n), 0, tid, 0, 0)
-	}
-	body, err := b.c.doInto(b.body[:0], http.MethodPost, b.c.tenantURL("/batch"),
-		"application/octet-stream", b.buf, b.respBound)
-	b.body = body
-	if err != nil {
-		b.Reset()
-		return nil, err
-	}
-	if tid != 0 {
-		b.c.th.RecordFlow(trace.KindNetFrameRecv, FrameSpan(tid), 0,
-			uint32(n), 0, tid, 0, 0)
-	}
-	results, err := parseResults(body, b.kinds, b.results[:0])
-	b.results = results
-	b.Reset()
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return b.Start().Wait()
 }
 
 // parseResults decodes a response frame's result stream into out
@@ -441,32 +404,218 @@ func parseResults(body []byte, kinds []OpKind, out []Result) ([]Result, error) {
 
 // PendingBatch is a frame in flight, issued by Batch.Start.
 type PendingBatch struct {
-	b       *Batch
-	results []Result
-	err     error
-	done    chan struct{}
+	b    *Batch
+	err  error         // the frame's failure, set before done is signalled
+	done chan struct{} // buffered: signalled once per frame
 }
 
 // Start ships the frame without waiting for the response, so one
-// goroutine can keep several frames in flight over several batches —
-// HTTP/2 multiplexes them as concurrent streams on one connection
-// (HTTP/1.1 falls back to pooled connections). The batch must not be
-// touched until Wait returns.
+// goroutine can keep several frames in flight over several batches; they
+// queue on the client's stream behind every frame already sent. The
+// batch must not be touched until Wait returns, and Wait must be called
+// exactly once.
 func (b *Batch) Start() *PendingBatch {
-	p := &PendingBatch{b: b, done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.results, p.err = b.Do()
-	}()
+	p := &b.p
+	if p.done == nil {
+		p.b, p.done = b, make(chan struct{}, 1)
+	}
+	p.err = nil
+	if len(b.kinds) == 0 {
+		p.done <- struct{}{}
+		return p
+	}
+	if tid := b.trace; tid != 0 {
+		b.c.th.RecordFlow(trace.KindNetFrameSend, FrameSpan(tid), 0,
+			uint32(len(b.kinds)), 0, tid, 0, 0)
+	}
+	binary.LittleEndian.PutUint32(b.buf, uint32(len(b.buf)-streamPrefix))
+	b.c.send(p)
 	return p
 }
 
-// Wait blocks until the response arrives and returns exactly what the
-// underlying Do did. The batch is reset and may be refilled and
+// Wait blocks until the response arrives and returns the frame's results,
+// or the error that failed it. The batch is reset and may be refilled and
 // restarted; the results stay valid until its next Do or Start.
 func (p *PendingBatch) Wait() ([]Result, error) {
 	<-p.done
-	return p.results, p.err
+	b := p.b
+	defer b.Reset()
+	if len(b.kinds) == 0 {
+		return nil, nil
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	if tid := b.trace; tid != 0 {
+		b.c.th.RecordFlow(trace.KindNetFrameRecv, FrameSpan(tid), 0,
+			uint32(len(b.kinds)), 0, tid, 0, 0)
+	}
+	results, err := parseResults(b.body, b.kinds, b.results[:0])
+	b.results = results
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// --- the stream ----------------------------------------------------------
+
+// maxInflightFrames bounds the frames one client has on its stream at
+// once; a sender beyond it waits for the oldest response.
+const maxInflightFrames = 256
+
+// session is one open stream: frames go out on the request body (a pipe
+// the transport drains) and their responses come back on the response
+// body, in the same order.
+type session struct {
+	pw       *io.PipeWriter
+	body     io.ReadCloser
+	inflight chan *PendingBatch // frames sent and not yet answered, oldest first
+	gone     chan struct{}      // closed when the stream has died
+}
+
+// send queues p's frame on the stream, opening one if none is live. A
+// frame that cannot be sent fails at once.
+func (c *Client) send(p *PendingBatch) {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if c.sess == nil {
+		s, err := c.openSession()
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		c.sess = s
+	}
+	s := c.sess
+	select {
+	case s.inflight <- p:
+	case <-s.gone:
+		p.fail(fmt.Errorf("copnet: stream closed"))
+		return
+	}
+	if _, err := s.pw.Write(p.b.buf); err != nil {
+		// The transport dropped the stream; ending the response body
+		// lets the receive loop fail every frame in flight, p included.
+		s.body.Close()
+	}
+}
+
+func (p *PendingBatch) fail(err error) {
+	p.err = err
+	p.done <- struct{}{}
+}
+
+// openSession opens the tenant's stream: the POST returns as soon as the
+// server has answered its headers, leaving both bodies open.
+func (c *Client) openSession() (*session, error) {
+	pr, pw := io.Pipe()
+	url := c.tenantURL("/stream")
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := c.hc.Do(req)
+	if err == nil {
+		if err = statusError(resp, http.MethodPost, url); err != nil {
+			resp.Body.Close()
+		}
+	}
+	if err != nil {
+		pw.Close()
+		return nil, err
+	}
+	s := &session{
+		pw:       pw,
+		body:     resp.Body,
+		inflight: make(chan *PendingBatch, maxInflightFrames),
+		gone:     make(chan struct{}),
+	}
+	go c.receive(s)
+	return s, nil
+}
+
+// receive hands each response record on s to the oldest frame in flight.
+// When the stream ends — or a record breaks the protocol — every frame
+// still in flight fails with the cause, and the next frame sent opens a
+// new stream.
+func (c *Client) receive(s *session) {
+	var prefix [streamPrefix]byte
+	var err error
+	for {
+		if _, err = io.ReadFull(s.body, prefix[:]); err != nil {
+			break
+		}
+		var p *PendingBatch
+		select {
+		case p = <-s.inflight:
+		default:
+			err = fmt.Errorf("copnet: response record with no frame in flight")
+		}
+		if p == nil {
+			break
+		}
+		b := p.b
+		n := binary.LittleEndian.Uint32(prefix[:])
+		failed := n&recordFailed != 0
+		n &^= recordFailed
+		limit := b.respBound
+		if failed {
+			limit = maxErrMsgBytes
+		}
+		if n > uint32(limit) {
+			err = fmt.Errorf("copnet: response record of %d bytes exceeds the %d-byte bound", n, limit)
+			p.fail(err)
+			break
+		}
+		b.body = grow(b.body, int(n))
+		if _, err = io.ReadFull(s.body, b.body); err != nil {
+			p.fail(err)
+			break
+		}
+		if failed {
+			p.fail(fmt.Errorf("copnet: frame refused: %s", b.body))
+			continue
+		}
+		p.done <- struct{}{}
+	}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = fmt.Errorf("copnet: stream closed by the server")
+	}
+	// Release a sender parked on a full queue or a stalled pipe before
+	// taking its lock; once s is off c.sess no frame joins it, so what is
+	// queued then is all that ever will be.
+	close(s.gone)
+	s.pw.CloseWithError(err)
+	s.body.Close()
+	c.sendMu.Lock()
+	if c.sess == s {
+		c.sess = nil
+	}
+	c.sendMu.Unlock()
+	for {
+		select {
+		case p := <-s.inflight:
+			p.fail(fmt.Errorf("copnet: frame lost with its stream: %w", err))
+		default:
+			return
+		}
+	}
+}
+
+// Close ends the client's stream; frames still in flight on it fail. The
+// client stays usable: the next frame opens a new stream.
+func (c *Client) Close() error {
+	c.sendMu.Lock()
+	s := c.sess
+	c.sess = nil
+	c.sendMu.Unlock()
+	if s != nil {
+		s.pw.Close()
+		s.body.Close()
+	}
+	return nil
 }
 
 // --- single-op Store / Target surface ------------------------------------

@@ -39,9 +39,21 @@ func testServer(t *testing.T, tenants ...string) (*Server, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); _ = srv.Close() })
-	return srv, hs
+	return srv, serveH2C(t, srv)
+}
+
+// serveH2C serves srv on a loopback listener speaking HTTP/1.1 and
+// unencrypted HTTP/2, as copserve's plaintext listener does. Cleanup
+// closes the server core first: its drain ends the clients' open streams,
+// which httptest's Close would otherwise wait on.
+func serveH2C(tb testing.TB, srv *Server) *httptest.Server {
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.Protocols = new(http.Protocols)
+	hs.Config.Protocols.SetHTTP1(true)
+	hs.Config.Protocols.SetUnencryptedHTTP2(true)
+	hs.Start()
+	tb.Cleanup(func() { _ = srv.Close(); hs.Close() })
+	return hs
 }
 
 func testClient(t *testing.T, hs *httptest.Server, opts ...ClientOption) *Client {
@@ -50,6 +62,7 @@ func testClient(t *testing.T, hs *httptest.Server, opts ...ClientOption) *Client
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = c.Close() })
 	return c
 }
 
@@ -391,7 +404,15 @@ func TestDrainUnderFire(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	time.Sleep(20 * time.Millisecond) // let traffic build
+	// Let traffic build: drain once some writes are acknowledged.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(acks)
+		mu.Unlock()
+		if n >= 64 || time.Now().After(deadline) {
+			break
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -1,14 +1,16 @@
 package copnet
 
-// Fuzz coverage for both wire parsers. The request parser faces hostile
-// bytes directly off the network (anything POSTed to /batch); the result
-// parser faces whatever a server — possibly a newer or broken one — sends
-// back. Neither may ever panic, and a frame the request parser accepts
-// must re-encode byte-for-byte (the parsers and the append helpers are
-// two halves of one contract).
+// Fuzz coverage for both wire parsers and the server's stream loop. The
+// request parser faces hostile bytes directly off the network (anything
+// POSTed to /batch or written on a stream); the result parser faces
+// whatever a server — possibly a newer or broken one — sends back. None
+// may ever panic, and a frame the request parser accepts must re-encode
+// byte-for-byte (the parsers and the append helpers are two halves of one
+// contract).
 
 import (
 	"bytes"
+	"net/http"
 	"testing"
 )
 
@@ -59,6 +61,22 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendWrite(tracedHeader(0), 0x80, block))
 	f.Add([]byte{wireMagic, wireVersionTraced, 1, 2, 3})
 
+	// Stream bodies: well-formed records, a zero length, a record cut
+	// short, and a length prefix above the frame cap.
+	f.Add(append(streamRecord(mixed), streamRecord(appendRead(frameHeader(), 0x40))...))
+	f.Add(appendU32(nil, 0))
+	f.Add(streamRecord(mixed)[:20])
+	f.Add(appendU32(nil, maxFrameBytes+1))
+
+	// The stream loop runs every input as a stream body against a store
+	// that serves reads and writes.
+	srv := NewServer()
+	if _, err := srv.AddTenant("fuzz", &fixedStore{}); err != nil {
+		f.Fatal(err)
+	}
+	w := newDiscardWriter()
+	rc := http.NewResponseController(w)
+
 	// Every kind a result stream is parsed against, cycled so arbitrary
 	// input exercises each payload shape.
 	kinds := []OpKind{
@@ -103,6 +121,10 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("re-encode mismatch: decoded %d ops from %d bytes, re-encoded %d bytes", len(ops), len(data), len(enc))
 			}
 		}
+
+		// Stream side: the loop must answer or refuse every record and
+		// stop at the input's end.
+		srv.serveStream("fuzz", &frameScratch{}, bytes.NewReader(data), w, rc)
 
 		// Response side: parse the same bytes as a result stream against
 		// every op kind in turn. Errors are expected on arbitrary input;

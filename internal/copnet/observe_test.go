@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -71,8 +70,7 @@ func TestTraceFlowEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); _ = srv.Close() })
+	hs := serveH2C(t, srv)
 	c, err := Dial(hs.URL, WithClientTracer(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +260,7 @@ func TestSlowFrameCapture(t *testing.T) {
 	if _, err := srv.AddTenant("slow", &slowReadStore{delay: 2 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); _ = srv.Close() })
+	hs := serveH2C(t, srv)
 	tr.Start()
 
 	c, err := Dial(hs.URL, WithTenant("slow"))

@@ -5,10 +5,11 @@ import "cop/internal/trace"
 // Pooled per-request server state. The serve datapath's whole per-frame
 // footprint — request body, decoded op list, result table, read-payload
 // arena, and response buffer — lives in one frameScratch recycled through
-// a sync.Pool, so a steady-state request performs zero heap allocations
-// on the frame path: one pooled slab is sliced into op payloads instead
-// of N small makes, and the response is built into a pooled buffer
-// written straight to the ResponseWriter.
+// a sync.Pool (a /batch request takes one per frame, a stream holds one
+// for its lifetime), so a steady-state frame performs zero heap
+// allocations: one pooled slab is sliced into op payloads instead of N
+// small makes, and the response is built into a pooled buffer written
+// straight to the ResponseWriter.
 
 // maxRetainBytes bounds how large a scratch slab the pool will retain.
 // A hostile (or merely huge) frame may grow the slabs up to the request
@@ -19,11 +20,12 @@ const maxRetainBytes = 1 << 20
 // frameScratch is the per-request working set of the serve datapath.
 // Every slice is reused capacity-first; see Server.getScratch.
 type frameScratch struct {
-	body    []byte     // raw request frame
-	ops     []reqOp    // decoded operations (data aliases body)
-	results []opResult // per-op outcomes (data slices alias arena)
-	arena   []byte     // one slab backing every read/read-range payload
-	resp    []byte     // encoded response frame
+	prefix  [streamPrefix]byte // a stream record's length prefix
+	body    []byte             // raw request frame
+	ops     []reqOp            // decoded operations (data aliases body)
+	results []opResult         // per-op outcomes (data slices alias arena)
+	arena   []byte             // one slab backing every read/read-range payload
+	resp    []byte             // streamPrefix bytes of headroom, then the response frame
 
 	// Per-frame observability state: the wire trace id (0 when untraced),
 	// whether flight-recorder records should be emitted for this frame,

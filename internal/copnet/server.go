@@ -2,6 +2,7 @@ package copnet
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,15 +133,23 @@ type Server struct {
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
 
-	// inflight tracks datapath and admin requests so Drain can fence:
-	// once draining flips, new requests bounce with 503 and Drain waits
-	// out everything already admitted. drainMu orders admission against
-	// the flip — an Add only happens while holding the read side with
+	// inflight tracks admitted admin requests and datapath frames so
+	// Drain can fence: once draining flips, new requests bounce with 503,
+	// frames on open streams get a "draining" error, and Drain waits out
+	// everything already admitted. drainMu orders admission against the
+	// flip — an Add only happens while holding the read side with
 	// draining still false, and Drain flips under the write side, so
 	// every Add happens-before the fence Wait (the WaitGroup contract).
 	drainMu  sync.RWMutex
 	inflight sync.WaitGroup
 	draining atomic.Bool
+
+	// streams holds the open /stream sessions so Drain can end them: an
+	// idle stream is parked in a body read that only a read deadline
+	// interrupts. Entries are added under drainMu's read side (so none
+	// slips past the flip) and removed before their handler returns.
+	streamMu sync.Mutex
+	streams  map[*http.ResponseController]struct{}
 
 	// net is the serve-datapath telemetry section; scratch pools the
 	// per-request frame state (see pool.go) so the steady-state frame
@@ -200,7 +209,10 @@ func WithSlowFrames(cfg SlowFrameConfig) ServerOption {
 
 // NewServer builds an empty service core.
 func NewServer(opts ...ServerOption) *Server {
-	s := &Server{tenants: make(map[string]*Tenant)}
+	s := &Server{
+		tenants: make(map[string]*Tenant),
+		streams: make(map[*http.ResponseController]struct{}),
+	}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -345,17 +357,25 @@ func (s *Server) Snapshot() telemetry.Snapshot {
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // Drain executes the graceful-shutdown sequence: flip to not-ready (new
-// requests bounce with 503, /readyz goes red), wait out every admitted
-// request — so every acknowledged write has fully executed — stop the
-// patrol scrubbers, then quiesce each batched tenant via the shard drain
-// machinery (rings emptied, LLCs flushed, shards fenced). After a nil
-// return, every acknowledged write is durable in the tenants' DRAM
-// images. ctx bounds only the wait for admitted requests; tenant drains
-// run to completion regardless.
+// requests bounce with 503, frames on open streams get a "draining"
+// error, /readyz goes red), end every open stream, wait out every
+// admitted request and frame — so every acknowledged write has fully
+// executed — stop the patrol scrubbers, then quiesce each batched tenant
+// via the shard drain machinery (rings emptied, LLCs flushed, shards
+// fenced). After a nil return, every acknowledged write is durable in the
+// tenants' DRAM images. ctx bounds only the wait for admitted work;
+// tenant drains run to completion regardless.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
 	s.drainMu.Unlock()
+	// A read deadline in the past fails each stream's pending body read:
+	// idle streams end at once, a busy one after its admitted frame.
+	s.streamMu.Lock()
+	for rc := range s.streams {
+		_ = rc.SetReadDeadline(time.Now())
+	}
+	s.streamMu.Unlock()
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
 	select {
@@ -425,7 +445,8 @@ func (t *Tenant) stopScrub() {
 // --- request execution ---------------------------------------------------
 
 // execBatch runs the decoded request frame in sc against the tenant and
-// returns the response frame (backed by sc.resp). With a batched store,
+// returns the response frame (backed by sc.resp, after streamPrefix bytes
+// of headroom for a stream record's length prefix). With a batched store,
 // consecutive read/write runs ride one group window (deep per-shard
 // batches); barrier ops fence the window exactly like Group.Wait. A
 // window error is conservatively attributed to every operation in that
@@ -477,14 +498,14 @@ func (t *Tenant) execBatch(sc *frameScratch) []byte {
 	}
 
 	encStart := time.Now()
-	resp := grow(sc.resp, respSizeHint(ops))[:0]
+	resp := grow(sc.resp, streamPrefix+respSizeHint(ops))[:streamPrefix]
 	resp = append(resp, wireMagic, wireVersion)
 	for i := range ops {
 		resp = appendResult(resp, ops[i].kind, &results[i])
 	}
 	sc.resp = resp
 	sc.stageNs[trace.StageEncode] += uint64(time.Since(encStart))
-	return resp
+	return resp[streamPrefix:]
 }
 
 // respSizeHint estimates the response frame size to avoid regrows.
@@ -676,6 +697,7 @@ func (s *Server) buildHandler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{tenant}/batch", s.gated(s.handleBatch))
+	mux.HandleFunc("POST /v1/tenants/{tenant}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/block/{addr}", s.gated(s.handleBlockGet))
 	mux.HandleFunc("PUT /v1/tenants/{tenant}/block/{addr}", s.gated(s.handleBlockPut))
 	mux.HandleFunc("POST /v1/tenants/{tenant}/flush", s.gated(s.handleFlush))
@@ -765,24 +787,37 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 }
 
 // gated wraps a handler with the drain fence: reject once draining,
-// otherwise account the request so Drain waits it out. Admitted requests
-// also feed the Net inflight level and its high-water mark.
+// otherwise account the request so Drain waits it out.
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.drainMu.RLock()
-		if s.draining.Load() {
-			s.drainMu.RUnlock()
+		if !s.admit() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
-		s.inflight.Add(1)
-		s.drainMu.RUnlock()
-		defer s.inflight.Done()
-		s.net.Inflight.Add(1)
-		s.net.MaxInflight.Observe(uint64(s.net.Inflight.Load()))
-		defer s.net.Inflight.Add(-1)
+		defer s.release()
 		h(w, r)
 	}
+}
+
+// admit passes one request or stream frame through the drain fence,
+// reporting false once draining. Admitted work also feeds the Net
+// inflight level and its high-water mark; release ends it.
+func (s *Server) admit() bool {
+	s.drainMu.RLock()
+	if s.draining.Load() {
+		s.drainMu.RUnlock()
+		return false
+	}
+	s.inflight.Add(1)
+	s.drainMu.RUnlock()
+	s.net.Inflight.Add(1)
+	s.net.MaxInflight.Observe(uint64(s.net.Inflight.Load()))
+	return true
+}
+
+func (s *Server) release() {
+	s.net.Inflight.Add(-1)
+	s.inflight.Done()
 }
 
 func (s *Server) pathTenant(w http.ResponseWriter, r *http.Request) (*Tenant, bool) {
@@ -795,6 +830,8 @@ func (s *Server) pathTenant(w http.ResponseWriter, r *http.Request) (*Tenant, bo
 	return t, true
 }
 
+// handleBatch serves one frame per request: the route for curl and
+// HTTP/1.1 callers.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.pathTenant(w, r)
 	if !ok {
@@ -804,17 +841,127 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	var err error
-	sc.body, err = readBodyInto(sc.body, r, 8+maxFrameOps*(9+BlockBytes))
+	sc.body, err = readBodyInto(sc.body, r, maxFrameBytes)
 	tRead := time.Now()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	_ = s.serveFrame(t, sc, w, nil, start, tRead)
+}
+
+// handleStream serves one long-lived full-duplex stream: length-prefixed
+// request frames in, one length-prefixed response record out per frame,
+// in arrival order. Each frame passes the drain fence and looks its
+// tenant up on its own, so an idle stream never holds Drain up and a
+// dropped tenant is not served past its removal; a frame refused there,
+// or one that does not decode, gets a failed record and the stream
+// carries on. A length prefix above the frame cap is refused before
+// anything is allocated for it and ends the stream, which can no longer
+// find the next frame boundary.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.pathTenant(w, r); !ok {
+		return
+	}
+	rc := http.NewResponseController(w)
+	s.drainMu.RLock()
+	open := !s.draining.Load()
+	if open {
+		s.streamMu.Lock()
+		s.streams[rc] = struct{}{}
+		s.streamMu.Unlock()
+	}
+	s.drainMu.RUnlock()
+	if !open {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	defer func() {
+		s.streamMu.Lock()
+		delete(s.streams, rc)
+		s.streamMu.Unlock()
+	}()
+
+	_ = rc.EnableFullDuplex() // HTTP/1.1 only: HTTP/2 streams always are
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	if rc.Flush() != nil {
+		return
+	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	s.serveStream(r.PathValue("tenant"), sc, r.Body, w, rc)
+}
+
+// serveStream runs an open stream's frame loop for the named tenant until
+// its body ends or a response cannot be written, working in sc
+// throughout.
+func (s *Server) serveStream(tenant string, sc *frameScratch, body io.Reader, w http.ResponseWriter, rc *http.ResponseController) {
+	for {
+		// EOF (the client closed its side) and the drain's read deadline
+		// both end the stream here, between frames.
+		if _, err := io.ReadFull(body, sc.prefix[:]); err != nil {
+			return
+		}
+		start := time.Now() // idle time before the prefix stays out of the frame
+		n, err := requestFrameLen(sc.prefix[:])
+		if err != nil {
+			_ = writeFailedRecord(w, rc, err.Error())
+			return
+		}
+		sc.body = grow(sc.body, n)
+		if _, err := io.ReadFull(body, sc.body); err != nil {
+			return
+		}
+		tRead := time.Now()
+		t, ok := s.Tenant(tenant)
+		if !ok || !s.admit() {
+			msg := "draining"
+			if !ok {
+				msg = fmt.Sprintf("no tenant %q", tenant)
+			}
+			if writeFailedRecord(w, rc, msg) != nil {
+				return
+			}
+			continue
+		}
+		err = s.serveFrame(t, sc, w, rc, start, tRead)
+		s.release()
+		if err != nil {
+			return
+		}
+	}
+}
+
+// writeFailedRecord answers a stream frame with a failed record carrying
+// msg.
+func writeFailedRecord(w http.ResponseWriter, rc *http.ResponseController, msg string) error {
+	rec := appendU32(make([]byte, 0, streamPrefix+len(msg)), uint32(len(msg))|recordFailed)
+	if _, err := w.Write(append(rec, msg...)); err != nil {
+		return err
+	}
+	return rc.Flush()
+}
+
+// serveFrame is the frame path both datapath routes share: decode the
+// request frame in sc.body, execute it against t, count it, write the
+// response, and attribute its stages, traces and slow-frame capture.
+// start is when the frame began to arrive and tRead when it was read in
+// full. With stream nil the response is the whole HTTP body (/batch);
+// otherwise it is one length-prefixed record, flushed through stream. A
+// frame that does not decode is answered with an error (400, or a failed
+// record) and executes nothing. The error is the write's: non-nil means
+// the stream is dead.
+func (s *Server) serveFrame(t *Tenant, sc *frameScratch, w http.ResponseWriter, stream *http.ResponseController, start, tRead time.Time) error {
+	var err error
 	sc.ops, sc.traceID, err = decodeRequestInto(sc.ops[:0], sc.body)
 	tParse := time.Now()
 	if err != nil {
+		if stream != nil {
+			return writeFailedRecord(w, stream, err.Error())
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
 	sc.stageNs = [trace.NumServeStages]uint64{}
 	sc.traced = sc.traceID != 0 && s.netTH.Enabled()
@@ -835,12 +982,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.net.Ops.Add(uint64(len(sc.ops)))
 	s.net.BytesIn.Add(uint64(len(sc.body)))
 	s.net.BytesOut.Add(uint64(len(resp)))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// An explicit length keeps the response out of chunked encoding: one
-	// frame, one write, and the client can presize its read buffer.
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	wStart := time.Now()
-	_, _ = w.Write(resp)
+	if stream != nil {
+		// One write carries prefix and frame: execBatch left the headroom.
+		// The flush waits until the frame is accounted, so a response
+		// that fits the writer's buffer reaches the client after its
+		// telemetry and trace records — as a /batch response, sent when
+		// the handler returns, always does.
+		rec := sc.resp[:streamPrefix+len(resp)]
+		binary.LittleEndian.PutUint32(rec, uint32(len(resp)))
+		_, err = w.Write(rec)
+	} else {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		// An explicit length keeps the response out of chunked encoding:
+		// one frame, one write, and the client can presize its read buffer.
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
+		_, _ = w.Write(resp)
+	}
 	end := time.Now()
 
 	sc.stageNs[trace.StageRead] = uint64(tRead.Sub(start))
@@ -860,6 +1018,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			uint32(len(sc.ops)), 0, total, 0, 0)
 	}
 	s.noteFrame(t, sc, total)
+	if stream != nil && err == nil {
+		err = stream.Flush()
+	}
+	return err
 }
 
 // noteFrame runs the slow-frame detector after a batch frame completes.

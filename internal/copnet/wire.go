@@ -5,11 +5,30 @@
 // contract, so integration tests run both in-process over a loopback
 // listener.
 //
-// The design goal is that one network request amortizes into one per-shard
-// batch: a request frame carries a *window* of operations, the server
-// submits the whole window through a single shard.Group, and the per-shard
-// workers dequeue it as deep batches — the same memory-level-parallelism
-// story as the in-process batched front-end, stretched over a connection.
+// The design goal is that one frame amortizes into one per-shard batch: a
+// request frame carries a *window* of operations, the server submits the
+// whole window through a single shard.Group, and the per-shard workers
+// dequeue it as deep batches — the same memory-level-parallelism story as
+// the in-process batched front-end, stretched over a connection.
+//
+// Transport. A Client opens one long-lived full-duplex HTTP/2 stream,
+// POST /v1/tenants/{tenant}/stream, and carries every frame on it as a
+// length-prefixed record, so a frame costs a few bytes of framing instead
+// of a whole HTTP request (headers, a new stream, a handler goroutine):
+//
+//	stream request  := (len u32 | request frame)*
+//	stream response := (len u32 | response frame)*   one per request frame
+//
+// The server reads, executes and answers one frame at a time in arrival
+// order, so responses come back in request order and the client hands
+// each to the oldest frame in flight. A response record whose length has
+// the top bit (recordFailed) set carries an error message instead of a
+// response frame: the frame as a whole failed (it did not decode, or it
+// arrived while the server drained) and none of its ops ran. A request
+// length above maxFrameBytes is refused before anything is allocated for
+// it, and ends the stream. POST /v1/tenants/{tenant}/batch carries one
+// frame per request (the body is the frame, the response body is its
+// response) for curl and HTTP/1.1 callers.
 //
 // Wire format (little-endian):
 //
@@ -119,6 +138,27 @@ const maxRangeBytes = 1 << 20
 // maxFrameOps bounds the operations per frame — far above any sensible
 // window, low enough that a hostile frame cannot balloon the response plan.
 const maxFrameOps = 1 << 16
+
+// maxFrameBytes bounds one request frame: maxFrameOps block writes.
+const maxFrameBytes = 8 + maxFrameOps*(9+BlockBytes)
+
+// Stream records: a little-endian u32 length prefix, whose top bit marks
+// a failed record (an error message instead of a response frame).
+const (
+	streamPrefix = 4
+	recordFailed = 1 << 31
+)
+
+// requestFrameLen decodes a request record's length prefix, refusing a
+// length above maxFrameBytes (the failed-record bit included) before
+// anything is allocated for it.
+func requestFrameLen(prefix []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(prefix)
+	if n > maxFrameBytes {
+		return 0, fmt.Errorf("copnet: frame of %d bytes exceeds the %d-byte cap", n, maxFrameBytes)
+	}
+	return int(n), nil
+}
 
 // reqOp is one decoded request operation. Data aliases the request body —
 // valid only while the body buffer is.

@@ -110,15 +110,13 @@ func (er *ERCodec) depositDisplaced(block, bits []byte) {
 	}
 }
 
-// imageWithPointer returns block with the encoded pointer word occupying
-// the displaced positions.
-func (er *ERCodec) imageWithPointer(block []byte, ptr uint32) []byte {
+// imageWithPointer writes block into img with the encoded pointer word
+// occupying the displaced positions.
+func (er *ERCodec) imageWithPointer(img, block []byte, ptr uint32) {
 	data := []byte{byte(ptr >> 20), byte(ptr >> 12), byte(ptr >> 4), byte(ptr << 4)}
 	cw := er.ptrCode.Encode(data)
-	img := make([]byte, BlockBytes)
 	copy(img, block)
 	er.depositDisplaced(img, cw)
-	return img
 }
 
 // blockParity computes the 11 (523,512) check bits for a full block.
@@ -128,25 +126,43 @@ func (er *ERCodec) blockParity(block []byte) uint16 {
 	return uint16(pb[0])<<3 | uint16(pb[1])>>5
 }
 
-// Write encodes a block for DRAM under COP-ER.
+// Write encodes a block for DRAM under COP-ER into a fresh image; see
+// WriteInto.
+func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32, compressed bool, err error) {
+	image = make([]byte, BlockBytes)
+	sc := er.codec.pool.Get().(*CodecScratch)
+	ptr, compressed, err = er.WriteInto(image, block, prevPtr, sc)
+	er.codec.pool.Put(sc)
+	if err != nil {
+		return nil, NoPointer, false, err
+	}
+	return image, ptr, compressed, nil
+}
+
+// WriteInto encodes a block for DRAM under COP-ER into dst (BlockBytes
+// long — typically the block's current image, rewritten in place), using
+// sc for the compressed path, which then allocates nothing. dst is left
+// untouched on error.
 //
 // prevPtr carries the block's existing ECC-region pointer when the LLC's
 // "was uncompressed" bit was set (NoPointer otherwise); the paper's reuse
 // and free paths are applied. The returned ptr is NoPointer for compressed
 // blocks and the live entry pointer for incompressible ones.
-func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32, compressed bool, err error) {
-	if len(block) != BlockBytes {
-		panic("core: ERCodec.Write: block must be 64 bytes")
+func (er *ERCodec) WriteInto(dst, block []byte, prevPtr uint32, sc *CodecScratch) (ptr uint32, compressed bool, err error) {
+	if len(block) != BlockBytes || len(dst) != BlockBytes {
+		panic("core: ERCodec.WriteInto: dst and block must be 64 bytes")
 	}
-	if img, status := er.codec.Encode(block); status == StoredCompressed {
+	var img [BlockBytes]byte
+	if er.codec.EncodeInto(img[:], block, sc) == StoredCompressed {
 		// Back to compressible: drop any stale entry (paper: "the
 		// original ECC entry is invalidated").
 		if prevPtr != NoPointer && er.region.Valid(prevPtr) {
 			if ferr := er.region.Free(prevPtr); ferr != nil {
-				return nil, NoPointer, false, ferr
+				return NoPointer, false, ferr
 			}
 		}
-		return img, NoPointer, true, nil
+		copy(dst, img[:])
+		return NoPointer, true, nil
 	}
 
 	entry := eccregion.Entry{
@@ -154,26 +170,28 @@ func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32
 		Parity:    er.blockParity(block),
 	}
 	notAlias := func(p uint32) bool {
-		return !er.codec.IsAlias(er.imageWithPointer(block, p))
+		er.imageWithPointer(img[:], block, p)
+		return !er.codec.IsAlias(img[:])
 	}
-	if prevPtr != NoPointer && er.region.Valid(prevPtr) {
-		// Still incompressible: reuse the entry if the pointer keeps the
-		// image alias-free, else reallocate.
-		if notAlias(prevPtr) {
-			if uerr := er.region.Update(prevPtr, entry); uerr != nil {
-				return nil, NoPointer, false, uerr
+	ptr = prevPtr
+	if prevPtr != NoPointer && er.region.Valid(prevPtr) && notAlias(prevPtr) {
+		// Still incompressible: reuse the entry while the pointer keeps
+		// the image alias-free.
+		if uerr := er.region.Update(prevPtr, entry); uerr != nil {
+			return NoPointer, false, uerr
+		}
+	} else {
+		if prevPtr != NoPointer && er.region.Valid(prevPtr) {
+			if ferr := er.region.Free(prevPtr); ferr != nil {
+				return NoPointer, false, ferr
 			}
-			return er.imageWithPointer(block, prevPtr), prevPtr, false, nil
 		}
-		if ferr := er.region.Free(prevPtr); ferr != nil {
-			return nil, NoPointer, false, ferr
+		if ptr, err = er.region.Allocate(entry, notAlias); err != nil {
+			return NoPointer, false, err
 		}
 	}
-	p, aerr := er.region.Allocate(entry, notAlias)
-	if aerr != nil {
-		return nil, NoPointer, false, aerr
-	}
-	return er.imageWithPointer(block, p), p, false, nil
+	er.imageWithPointer(dst, block, ptr)
+	return ptr, false, nil
 }
 
 // PointerOf extracts (and single-error-corrects) the ECC-region pointer
@@ -198,18 +216,34 @@ func (er *ERCodec) pointerOf(image []byte) (ptr uint32, corrected, ok bool) {
 	return ptr, res == ecc.Corrected, true
 }
 
-// Read decodes a COP-ER DRAM image back to the plaintext block.
+// Read decodes a COP-ER DRAM image back to a fresh plaintext block; see
+// ReadInto.
 func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error) {
-	if len(image) != BlockBytes {
-		panic("core: ERCodec.Read: image must be 64 bytes")
+	block = make([]byte, BlockBytes)
+	sc := er.codec.pool.Get().(*CodecScratch)
+	info, err = er.ReadInto(block, image, sc)
+	er.codec.pool.Put(sc)
+	if err != nil {
+		return nil, info, err
 	}
-	valid := er.codec.CountValidCodewords(image)
-	info.ValidCodewords = valid
-	if valid >= er.codec.cfg.Threshold {
-		b, dinfo, derr := er.codec.Decode(image)
+	return block, info, nil
+}
+
+// ReadInto decodes a COP-ER DRAM image into dst (BlockBytes long), using
+// sc for the compressed path, which then allocates nothing. dst's
+// contents are unspecified on error.
+func (er *ERCodec) ReadInto(dst, image []byte, sc *CodecScratch) (info ERReadInfo, err error) {
+	if len(image) != BlockBytes || len(dst) != BlockBytes {
+		panic("core: ERCodec.ReadInto: dst and image must be 64 bytes")
+	}
+	// One pass counts the code words and decodes a compressed image; an
+	// incompressible one comes back as a raw copy of the image.
+	dinfo, derr := er.codec.DecodeInto(dst, image, sc)
+	info.ValidCodewords = dinfo.ValidCodewords
+	if dinfo.Compressed {
 		info.Compressed = true
 		info.CorrectedBlock = len(dinfo.CorrectedSegments) > 0
-		return b, info, derr
+		return info, derr
 	}
 
 	// Incompressible: recover the pointer, fetch the entry, reassemble,
@@ -217,21 +251,18 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error)
 	info.RegionAccess = true
 	ptr, corrected, ok := er.pointerOf(image)
 	if !ok {
-		return nil, info, fmt.Errorf("%w: pointer uncorrectable", ErrRegion)
+		return info, fmt.Errorf("%w: pointer uncorrectable", ErrRegion)
 	}
 	info.CorrectedPointer = corrected
 
 	entry, rerr := er.region.Read(ptr)
 	if rerr != nil {
-		return nil, info, fmt.Errorf("%w: %v", ErrRegion, rerr)
+		return info, fmt.Errorf("%w: %v", ErrRegion, rerr)
 	}
-
-	original := make([]byte, BlockBytes)
-	copy(original, image)
-	er.depositDisplaced(original, entry.Displaced)
+	er.depositDisplaced(dst, entry.Displaced)
 
 	cw := make([]byte, er.blockCode.CodewordBytes())
-	copy(cw, original)
+	copy(cw, dst)
 	var pb [2]byte
 	pb[0] = byte(entry.Parity >> 3)
 	pb[1] = byte(entry.Parity << 5)
@@ -240,13 +271,13 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error)
 	switch bres {
 	case ecc.Corrected:
 		info.CorrectedBlock = true
-		original = er.blockCode.Data(cw)
+		copy(dst, er.blockCode.Data(cw))
 	case ecc.Uncorrectable:
-		return nil, info, ErrUncorrectable
+		return info, ErrUncorrectable
 	}
 	// A corrected bit may have been one of the displaced positions whose
 	// DRAM copy held the pointer — the data copy in the entry is
 	// authoritative either way, and Data() above already reflects the
 	// corrected word.
-	return original, info, nil
+	return info, nil
 }

@@ -195,7 +195,8 @@ func TestERPointerRoundTripQuick(t *testing.T) {
 	f := func(ptr uint32) bool {
 		ptr &= eccregion.MaxEntries - 1
 		block := make([]byte, BlockBytes)
-		img := er.imageWithPointer(block, ptr)
+		img := make([]byte, BlockBytes)
+		er.imageWithPointer(img, block, ptr)
 		cw := make([]byte, er.ptrCode.CodewordBytes())
 		for i, p := range er.ptrPos {
 			bitio.SetBit(cw, i, bitio.Bit(img, p))

@@ -22,6 +22,7 @@ type PackedStore struct {
 	entriesPerBlock int
 
 	entryBlocks [][]byte
+	slab        []byte // unused tail of the slab entry blocks are carved from
 	l3          [][]byte
 	l2          [][]byte
 	l1          []byte
@@ -194,13 +195,23 @@ func (r *PackedStore) CheckTreeParity() (corrected int, err error) {
 	return corrected, check(r.l1)
 }
 
+// slabBlocks is how many entry blocks one slab allocation carries. Entry
+// blocks live as long as the store, so carving them from slabs keeps
+// them off the heap spans that short-lived garbage cycles through — one
+// 64-byte block there pins a whole span.
+const slabBlocks = 64
+
 // growEntryBlock appends a fresh entry block, extending the tree as needed.
 func (r *PackedStore) growEntryBlock() (int, error) {
 	idx := len(r.entryBlocks)
 	if uint64(idx)*uint64(r.entriesPerBlock) >= MaxEntries {
 		return 0, ErrFull
 	}
-	r.entryBlocks = append(r.entryBlocks, make([]byte, BlockBytes))
+	if len(r.slab) == 0 {
+		r.slab = make([]byte, slabBlocks*BlockBytes)
+	}
+	r.entryBlocks = append(r.entryBlocks, r.slab[:BlockBytes:BlockBytes])
+	r.slab = r.slab[BlockBytes:]
 	l3blk := idx / ValidBitsPerBlock
 	for len(r.l3) <= l3blk {
 		nb := make([]byte, BlockBytes)

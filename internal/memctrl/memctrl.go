@@ -242,6 +242,7 @@ func New(cfg Config) *Controller {
 	case COPER:
 		c.er = core.NewERCodec(copCfg)
 		c.codec = c.er.Codec()
+		c.sc = c.codec.NewScratch()
 	case ECCDIMM:
 		c.dimmECC = map[uint64][]byte{}
 	case ECCRegion:
@@ -569,11 +570,20 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		if hasPrev {
 			prev = prevPtr
 		}
-		image, _, compressed, err := c.er.Write(data, prev)
+		// Like COP: rewrite the block's image in place (WriteInto leaves
+		// it untouched on error), so a compressible writeback allocates
+		// nothing.
+		image, ok := c.store.get(addr)
+		if !ok {
+			image = make([]byte, BlockBytes)
+		}
+		_, compressed, err := c.er.WriteInto(image, data, prev, c.sc)
 		if err != nil {
 			return 0, err
 		}
-		c.store.set(addr, image)
+		if !ok {
+			c.store.set(addr, image)
+		}
 		c.kinds[addr] = kindOf(compressed)
 		if compressed {
 			c.tel.StoredCompressed.Inc()
@@ -781,7 +791,8 @@ func (c *Controller) fill(addr uint64) (cache.Line, ReadInfo, error) {
 		}
 		line.Data = block
 	case COPER:
-		block, info, err := c.er.Read(image)
+		block := c.getBlock()
+		info, err := c.er.ReadInto(block, image, c.sc)
 		rinfo.DecodedCompressed = info.Compressed
 		rinfo.ValidCodewords = info.ValidCodewords
 		rinfo.CorrectedPointer = info.CorrectedPointer
@@ -791,6 +802,7 @@ func (c *Controller) fill(addr uint64) (cache.Line, ReadInfo, error) {
 		}
 		if err != nil {
 			c.tel.UncorrectableErrors.Inc()
+			c.putBlock(block)
 			return cache.Line{}, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
 		}
 		if info.CorrectedBlock || info.CorrectedPointer {

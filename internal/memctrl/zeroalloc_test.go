@@ -8,7 +8,8 @@ import (
 )
 
 // TestZeroAllocHotPaths pins the steady-state read/write path at zero
-// allocations per op — both with no tracer and with a tracer attached but
+// allocations per op — COP hits and COP-ER fills and writebacks of
+// compressible blocks, both with no tracer and with a tracer attached but
 // disabled, the configuration every non-debugging run uses. The sharded
 // throughput benchmark guards the same property in wall-clock terms
 // (BenchmarkShardedThroughput/sharded-8g-traceoff); this test fails fast
@@ -67,6 +68,36 @@ func TestZeroAllocHotPaths(t *testing.T) {
 				i++
 			}); n != 0 {
 				t.Fatalf("range-op hit path allocates %.1f allocs/op, want 0", n)
+			}
+
+			// COP-ER misses over compressible blocks: a footprint of four
+			// LLCs walked in order misses on every op, so each read fills
+			// (decoding into a recycled line buffer) and the evictions
+			// write dirty lines back (encoding into the block's existing
+			// image).
+			er := New(Config{Mode: COPER, LLCBytes: 64 * 1024, LLCWays: 8, Tracer: tc.tracer})
+			const footprint = 4 * 1024
+			step := func(i int) {
+				if err := er.Write(uint64(i%footprint)*BlockBytes, data); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := er.ReadInto(dst, uint64((i+footprint/2)%footprint)*BlockBytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i = 0; i < 2*footprint; i++ {
+				step(i) // every image exists and the free list is warm
+			}
+			before := er.Snapshot().Controller
+			if n := testing.AllocsPerRun(200, func() { step(i); i++ }); n != 0 {
+				t.Fatalf("cop-er fill/writeback path allocates %.1f allocs/op, want 0", n)
+			}
+			after := er.Snapshot().Controller
+			if fills, wbs := after.Fills-before.Fills, after.Writebacks-before.Writebacks; fills < 200 || wbs < 200 {
+				t.Fatalf("measured loop did %d fills and %d writebacks, want >= 200 each", fills, wbs)
+			}
+			if after.StoredCompressed == before.StoredCompressed {
+				t.Fatal("measured writebacks stored nothing compressed")
 			}
 		})
 	}

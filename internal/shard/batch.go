@@ -91,7 +91,7 @@ type Txn struct {
 	arg   int32 // bit index (opInjectBit) or chip (opInjectChip)
 	addr  uint64
 	inner uint64
-	flow  uint64 // externally supplied trace flow id; 0 = allocate
+	flow  uint64            // externally supplied trace flow id; 0 = allocate
 	data  [BlockBytes]byte  // write payload (copied at submit)
 	dst   []byte            // read destination / raw write payload
 	info  *memctrl.ReadInfo // decoder observations (optional)
@@ -110,21 +110,22 @@ type Txn struct {
 // submit and Wait's return.
 type Group struct {
 	b         *Batched
-	submitted int64        // ops submitted since the last Wait; owner-only
-	pending   atomic.Int64 // submitted-minus-completed, settled at Wait
-	waiting   atomic.Bool
-	wake      chan struct{} // cap 1; token committed by exactly one completer
+	submitted int64         // ops submitted since the last Wait; owner-only
+	pending   atomic.Int64  // submitted-minus-completed, settled at Wait
+	wake      chan struct{} // cap 1; the token the emptying completion sends
 	mu        sync.Mutex
 	err       error // first error
 }
 
 // completeN retires n transactions, waking the waiter when the group
 // empties. Between windows pending rests at zero, so completions that
-// outrun Wait's deferred submission count drive it negative and the single
-// zero crossing happens exactly when the last operation of a waited-on
-// window retires.
+// outrun Wait's deferred submission count drive it negative, and a
+// completion can only bring it to zero after Wait has added a count that
+// left it positive — that is, while Wait is committed to block. So the
+// zero crossing happens exactly once per blocked Wait, and its token is
+// consumed before the group can be reused.
 func (g *Group) completeN(n int64) {
-	if g.pending.Add(-n) == 0 && g.waiting.Load() && g.waiting.CompareAndSwap(true, false) {
+	if g.pending.Add(-n) == 0 {
 		g.wake <- struct{}{}
 	}
 }
@@ -146,12 +147,11 @@ func (g *Group) Wait() error {
 	n := g.submitted
 	g.submitted = 0
 	if n != 0 && g.pending.Add(n) > 0 {
-		g.waiting.Store(true)
-		if g.pending.Load() > 0 || !g.waiting.CompareAndSwap(true, false) {
-			// Either operations are still pending, or a completer already
-			// committed to sending the token — consume it either way.
-			<-g.wake
-		}
+		// Operations are outstanding: the one that empties the window
+		// sends the token. The waiter must not claim an early finish
+		// itself, or a completer delayed between seeing zero and waking
+		// could wake the group's next Wait before its window is done.
+		<-g.wake
 	}
 	g.mu.Lock()
 	err := g.err
