@@ -559,7 +559,10 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		}
 	})
 	runSharded := func(b *testing.B, cfg cop.MemoryConfig) {
-		m := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: cfg, Shards: goroutines})
+		m, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: cfg, Shards: goroutines})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.SetBytes(cop.BlockBytes)
 		var wg sync.WaitGroup
 		errs := make(chan error, goroutines)
@@ -605,11 +608,14 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 	blocks := shardedTrafficBlocks(footprint)
 
 	b.Run("batched-8g", func(b *testing.B) {
-		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
+		m, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
 			Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
 			RingSize: 4 * window,
 			BatchMax: window,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer m.Close()
 		b.SetBytes(cop.BlockBytes)
 		var wg sync.WaitGroup
@@ -666,11 +672,14 @@ func BenchmarkMigrationOverhead(b *testing.B) {
 	blocks := shardedTrafficBlocks(footprint)
 
 	b.Run("scrub-8g", func(b *testing.B) {
-		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
+		m, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
 			Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
 			RingSize: 4 * window,
 			BatchMax: window,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer m.Close()
 		scrub := cop.NewScrubber(m, cop.ScrubOptions{}) // default 1ms patrol
 		scrub.Start()

@@ -182,7 +182,7 @@ func runFaults(out io.Writer, telReg *telemetry.Registry, tracer *cop.Tracer, tr
 		}
 		start := time.Now()
 		res, err := cop.FaultCampaign(cop.FaultCampaignConfig{
-			Mode:          sc.Mode,
+			Scheme:        sc,
 			Seed:          seed,
 			Injections:    injections,
 			Workers:       workers,
@@ -221,7 +221,7 @@ const traceDemoShards = 4
 // tying accesses across layers.
 func runTraceDemo(out io.Writer, telReg *telemetry.Registry, tracer *cop.Tracer, path string) error {
 	tracer.Start()
-	mem, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{
+	mem, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{
 		Mem:    cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8, Tracer: tracer},
 		Shards: traceDemoShards,
 	})
@@ -356,7 +356,7 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 
 	// -parallel takes a free goroutine count; shard counts must be powers
 	// of two, so round up (the config rules reject anything else).
-	sharded, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shard.NextPow2(n)})
+	sharded, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shard.NextPow2(n)})
 	if err != nil {
 		return err
 	}
@@ -396,7 +396,7 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 	// groups with a window of outstanding operations per goroutine, so each
 	// shard's worker executes deep batches under one lock acquisition.
 	const window = 128
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
+	bm, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
 		Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: shard.NextPow2(n)},
 		RingSize: 4 * window,
 		BatchMax: window,
@@ -465,9 +465,9 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 	return nil
 }
 
-// runMigrate demonstrates online reconfiguration: a batched COP-4 memory
-// under continuous mixed traffic and an aggressive patrol scrubber is
-// live-migrated COP-4 -> COP-8 -> ECC-region -> COP-4 and elastically
+// runMigrate demonstrates online reconfiguration: a batched cop (COP-4)
+// memory under continuous mixed traffic and an aggressive patrol scrubber
+// is live-migrated cop -> cop-8 -> ecc-region -> cop and elastically
 // resharded 4 -> 8 -> 4, with every read verified against an in-memory
 // oracle, then the whole footprint is swept once more at the end. A read
 // mismatch at any point is a hard failure — this is the demo the CI race
@@ -478,7 +478,7 @@ func runMigrate(out io.Writer, telReg *telemetry.Registry, n int) error {
 	}
 	const footprint = 1 << 12 // blocks (256 KB), past the 64 KB LLC below
 	memCfg := cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
+	bm, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
 		Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: 4},
 	})
 	if err != nil {
@@ -555,11 +555,11 @@ func runMigrate(out io.Writer, telReg *telemetry.Registry, n int) error {
 		label string
 		fn    func() error
 	}{
-		{"migrate cop-4 -> cop-8", func() error { return cop.Migrate(bm, "cop-8", cop.MigrateOptions{ChunkBlocks: 64}) }},
+		{"migrate cop -> cop-8", func() error { return cop.Migrate(bm, "cop-8", cop.MigrateOptions{ChunkBlocks: 64}) }},
 		{"reshard 4 -> 8 shards", func() error { return cop.Reshard(bm, 8) }},
 		{"migrate cop-8 -> ecc-region", func() error { return cop.Migrate(bm, "ecc-region", cop.MigrateOptions{ChunkBlocks: 64}) }},
 		{"reshard 8 -> 4 shards", func() error { return cop.Reshard(bm, 4) }},
-		{"migrate ecc-region -> cop-4", func() error { return cop.Migrate(bm, "cop-4", cop.MigrateOptions{ChunkBlocks: 64}) }},
+		{"migrate ecc-region -> cop", func() error { return cop.Migrate(bm, "cop", cop.MigrateOptions{ChunkBlocks: 64}) }},
 	}
 	fmt.Fprintf(out, "Live reconfiguration demo (%d traffic goroutines + patrol scrubber, %d-block footprint)\n", n, footprint)
 	for _, st := range steps {

@@ -82,7 +82,7 @@ func run(args []string, stdout io.Writer) error {
 			tracer.Reset()
 			tracer.Start()
 		}
-		res, err := campaign(p, sc.Mode, *blocks, *flips, *seed, *chipFail, tracer)
+		res, err := campaign(p, sc, *blocks, *flips, *seed, *chipFail, tracer)
 		if err != nil {
 			return err
 		}
@@ -125,8 +125,8 @@ func (r *rng) next() uint64 {
 	return r.s
 }
 
-func campaign(p *workload.Profile, mode memctrl.Mode, blocks, flips int, seed uint64, chipFail bool, tracer *trace.Tracer) (campaignResult, error) {
-	mem := cop.NewMemory(cop.MemoryConfig{Mode: mode, LLCBytes: 64 * 1024, LLCWays: 8, Tracer: tracer})
+func campaign(p *workload.Profile, sc memctrl.Scheme, blocks, flips int, seed uint64, chipFail bool, tracer *trace.Tracer) (campaignResult, error) {
+	mem := cop.NewMemory(cop.MemoryConfig{Mode: sc.Mode, COPConfig: sc.COP, LLCBytes: 64 * 1024, LLCWays: 8, Tracer: tracer})
 	ref := make(map[uint64][]byte, blocks)
 	for i := 0; i < blocks; i++ {
 		addr := uint64(i) * cop.BlockBytes
@@ -152,8 +152,7 @@ func campaign(p *workload.Profile, mode memctrl.Mode, blocks, flips int, seed ui
 		} else if !mem.InjectBitFlip(addr, bit) {
 			continue
 		}
-		before := mem.Stats().CorrectedErrors
-		got, err := mem.Read(addr)
+		got, info, err := mem.ReadWithInfo(addr)
 		switch {
 		case err != nil:
 			res.detected++
@@ -162,7 +161,7 @@ func campaign(p *workload.Profile, mode memctrl.Mode, blocks, flips int, seed ui
 			// Wrong data, no error: the flight-recorder black box for
 			// exactly this moment (first silent corruption wins).
 			tracer.TriggerAnomaly(trace.ReasonSilentCorruption, addr)
-		case mem.Stats().CorrectedErrors > before:
+		case info.Corrected > 0 || info.CorrectedPointer:
 			res.corrected++
 		}
 		// Restore a clean DRAM image for the next trial.

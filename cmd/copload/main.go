@@ -208,7 +208,7 @@ func run(args []string, stdout io.Writer) error {
 		go func() {
 			defer soakWG.Done()
 			soakRes, soakErr = faultsim.Run(faultsim.Config{
-				Mode:       scheme.Mode,
+				Scheme:     scheme,
 				Seed:       *load.Seed ^ 0x50AC,
 				Blocks:     *soakBlocks,
 				Injections: *soakFaults,

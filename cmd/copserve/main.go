@@ -56,8 +56,19 @@ func main() {
 	}
 }
 
-// run starts the service and blocks until a termination signal (or ready
-// closing, in tests) triggers the drain sequence.
+// Edge timeouts, the same on both listeners. A client has
+// readHeaderTimeout to send a request's headers (a slowloris connection
+// is closed after it), and a connection with no open request or stream is
+// closed after idleTimeout. ReadTimeout and WriteTimeout stay unset:
+// either would end a client's long-lived /stream.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// run starts the service and blocks until SIGINT or SIGTERM triggers the
+// drain sequence; it returns once every tenant is drained and closed. A
+// non-nil ready receives the base URL once the listeners are up.
 func run(args []string, stdout io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("copserve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -145,8 +156,10 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			return fmt.Errorf("listen %s: %w", *addr, err)
 		}
 		hs := &http.Server{
-			Handler:   handler,
-			TLSConfig: &tls.Config{Certificates: []tls.Certificate{cert}},
+			Handler:           handler,
+			TLSConfig:         &tls.Config{Certificates: []tls.Certificate{cert}},
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
 		}
 		go func() { _ = hs.ServeTLS(ln, "", "") }()
 		servers = append(servers, hs)
@@ -159,7 +172,12 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("listen %s: %w", *plainAddr, err)
 		}
-		hs := &http.Server{Handler: handler, Protocols: new(http.Protocols)}
+		hs := &http.Server{
+			Handler:           handler,
+			Protocols:         new(http.Protocols),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
+		}
 		hs.Protocols.SetHTTP1(true)
 		hs.Protocols.SetUnencryptedHTTP2(true)
 		go func() { _ = hs.Serve(ln) }()
@@ -173,6 +191,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	if ready != nil {
 		ready <- baseURL
 	}

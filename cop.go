@@ -156,8 +156,7 @@ var (
 // Telemetry, re-exported from internal/telemetry: both Memory and
 // ShardedMemory produce the same Snapshot tree (Snapshot method), so all
 // counter consumption — JSON, Prometheus text, expvar, campaign results —
-// goes through exactly one API. The legacy Stats surfaces remain as
-// deprecated thin wrappers over these snapshots.
+// goes through exactly one API.
 type (
 	// Snapshot is the coherent telemetry tree for one memory hierarchy:
 	// controller, cache, optional region and DRAM sections, plus derived
@@ -231,24 +230,13 @@ type ShardedMemory = shard.Controller
 // shard.Config: Mem.LLCBytes is the TOTAL capacity, each shard gets
 // LLCBytes/Shards, and an explicit Shards must be a power of two no larger
 // than the LLC set count (zero means auto). Invalid combinations are
-// errors (NewShardedMemoryChecked), never silently rounded.
+// errors, never silently rounded.
 type ShardedMemoryConfig = shard.Config
 
-// NewShardedMemory builds a sharded, concurrency-safe memory model. It
-// panics on an invalid config; use NewShardedMemoryChecked to get the
-// error instead.
-func NewShardedMemory(cfg ShardedMemoryConfig) *ShardedMemory { return shard.New(cfg) }
-
-// NewShardedMemoryChecked builds a sharded memory model, reporting invalid
-// configs (non-power-of-two shard count, shards exceeding LLC sets,
-// non-power-of-two set geometry) as errors.
-//
-// Deprecated: use Open(WithMemoryConfig(cfg.Mem), WithShards(cfg.Shards));
-// Open is the one constructor that covers every front-end behind the Store
-// interface. This wrapper remains for callers that need the concrete type.
-func NewShardedMemoryChecked(cfg ShardedMemoryConfig) (*ShardedMemory, error) {
-	return shard.NewChecked(cfg)
-}
+// NewShardedMemory builds a sharded, concurrency-safe memory model,
+// reporting invalid configs (non-power-of-two shard count, shards
+// exceeding LLC sets, non-power-of-two set geometry) as errors.
+func NewShardedMemory(cfg ShardedMemoryConfig) (*ShardedMemory, error) { return shard.New(cfg) }
 
 // BatchedMemory is the batched, concurrency-safe protected-memory model:
 // the same striping, telemetry, and memory image as ShardedMemory, but
@@ -279,19 +267,11 @@ const (
 	BatchDraining = shard.ModeDraining
 )
 
-// NewBatchedMemory builds a batched memory model. It panics on an invalid
-// config; use NewBatchedMemoryChecked to get the error instead.
-func NewBatchedMemory(cfg BatchedMemoryConfig) *BatchedMemory { return shard.NewBatched(cfg) }
-
-// NewBatchedMemoryChecked builds a batched memory model, reporting invalid
+// NewBatchedMemory builds a batched memory model, reporting invalid
 // configs (bad shard geometry, non-power-of-two ring size) as errors.
-//
-// Deprecated: use Open(WithMemoryConfig(cfg.Shard.Mem),
-// WithShards(cfg.Shard.Shards), WithBatching(cfg.RingSize, cfg.BatchMax));
-// Open is the one constructor that covers every front-end behind the Store
-// interface. This wrapper remains for callers that need the concrete type.
-func NewBatchedMemoryChecked(cfg BatchedMemoryConfig) (*BatchedMemory, error) {
-	return shard.NewBatchedChecked(cfg)
+// Release its workers with Close.
+func NewBatchedMemory(cfg BatchedMemoryConfig) (*BatchedMemory, error) {
+	return shard.NewBatched(cfg)
 }
 
 // --- unified constructor -------------------------------------------------
@@ -312,9 +292,10 @@ type openConfig struct {
 // Option configures Open.
 type Option func(*openConfig)
 
-// WithScheme selects the protection scheme by its canonical command-line
-// name (SchemeNames lists them: unprotected, ecc-dimm, cop, cop-er,
-// cop-adaptive, cop-chipkill, ecc-region). Unknown names fail Open.
+// WithScheme selects the protection scheme, and for COP and COP-ER its code
+// geometry, by registry name (SchemeNames lists them: unprotected,
+// ecc-dimm, cop, cop-8, cop-er, cop-adaptive, cop-chipkill, ecc-region).
+// Unknown names fail Open.
 func WithScheme(name string) Option { return func(c *openConfig) { c.scheme = name } }
 
 // WithMode selects the protection scheme by mode constant (the
@@ -379,21 +360,20 @@ func WithTelemetryRegistry(reg *TelemetryRegistry) Option {
 //     workers; Close it when done).
 //
 // Invalid combinations (unknown scheme name, bad shard geometry,
-// non-power-of-two ring size) are reported as errors, never panics. The
-// deprecated NewShardedMemoryChecked / NewBatchedMemoryChecked remain as
-// thin wrappers for callers that need the concrete types without a type
-// assertion.
+// non-power-of-two ring size) are reported as errors, never panics.
+// NewShardedMemory and NewBatchedMemory build the same front-ends for
+// callers that need the concrete types without a type assertion.
 func Open(opts ...Option) (Store, error) {
 	var c openConfig
 	for _, opt := range opts {
 		opt(&c)
 	}
 	if c.scheme != "" {
-		schemes, err := cli.ParseSchemes(c.scheme)
-		if err != nil || len(schemes) != 1 {
+		s, err := cli.SingleScheme(c.scheme)
+		if err != nil {
 			return nil, fmt.Errorf("cop: scheme %q: want exactly one of %s", c.scheme, cli.SchemeNames())
 		}
-		c.mem.Mode = schemes[0].Mode
+		c.mem.Mode, c.mem.COPConfig = s.Mode, s.COP
 	}
 	var (
 		st  Store
@@ -401,13 +381,13 @@ func Open(opts ...Option) (Store, error) {
 	)
 	switch {
 	case c.batched:
-		st, err = shard.NewBatchedChecked(shard.BatchedConfig{
+		st, err = shard.NewBatched(shard.BatchedConfig{
 			Shard:    shard.Config{Mem: c.mem, Shards: c.shards},
 			RingSize: c.ring,
 			BatchMax: c.batchMax,
 		})
 	case c.sharded:
-		st, err = shard.NewChecked(shard.Config{Mem: c.mem, Shards: c.shards})
+		st, err = shard.New(shard.Config{Mem: c.mem, Shards: c.shards})
 	default:
 		if c.requireCon {
 			return nil, fmt.Errorf("cop: WithConcurrent requires WithShards or WithBatching (a plain Memory is single-goroutine)")
@@ -423,16 +403,17 @@ func Open(opts ...Option) (Store, error) {
 	return st, nil
 }
 
-// SchemeNames returns the canonical command-line scheme names WithScheme
-// accepts, comma-joined.
+// SchemeNames returns the scheme registry's names, comma-joined: the names
+// WithScheme, Migrate, copserve tenants, and every binary's -scheme flag
+// accept.
 func SchemeNames() string { return cli.SchemeNames() }
+
+// Scheme is a scheme registry entry: a name, its protection mode, and the
+// COP code geometry (FaultCampaignConfig.Scheme takes one).
+type Scheme = memctrl.Scheme
 
 // Online reconfiguration, re-exported from internal/migrate.
 type (
-	// MigrationScheme is a named protection-scheme target a live
-	// migration can convert a BatchedMemory to ("cop-4", "cop-8",
-	// "cop-adaptive", "ecc-region", "ecc-dimm", "unprotected").
-	MigrationScheme = migrate.Scheme
 	// MigrateOptions bounds a live migration's per-pause work.
 	MigrateOptions = migrate.Options
 	// Scrubber is the background patrol scrubber over a BatchedMemory;
@@ -446,14 +427,12 @@ type (
 // without stopping traffic: shards are drained one at a time just long
 // enough to switch their machinery, then resident blocks are re-encoded
 // in bounded chunks while reads and writes keep flowing (blocks not yet
-// converted stay readable through the retiring scheme's decoder). See
-// MigrationSchemes for the registry.
+// converted stay readable through the retiring scheme's decoder). scheme
+// is a registry name (SchemeNames); COP-ER and COP-CK memories cannot be
+// migrated, and naming one fails with memctrl's "cannot migrate" error.
 func Migrate(m *BatchedMemory, scheme string, opts MigrateOptions) error {
 	return migrate.MigrateTo(m, scheme, opts)
 }
-
-// MigrationSchemes lists the registered live-migration targets.
-func MigrationSchemes() []string { return migrate.Names() }
 
 // Reshard grows or shrinks a BatchedMemory's stripe count online: each
 // stripe family is quiesced, its resident blocks are copied to the new
@@ -526,7 +505,7 @@ func FailChip(image []byte, chip int, pattern byte) { chipkill.FailChip(image, c
 // Fault-injection campaigns, re-exported from internal/faultsim.
 type (
 	// FaultCampaignConfig parameterizes FaultCampaign. The zero value
-	// (beyond Mode) runs 5000 injections over a 2048-block "gcc" footprint
+	// (beyond Scheme) runs 5000 injections over a 2048-block "gcc" footprint
 	// on one worker.
 	FaultCampaignConfig = faultsim.Config
 	// FaultCampaignResult is a completed campaign: the per-failure-mode

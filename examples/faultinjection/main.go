@@ -85,14 +85,14 @@ func runMode(p *workload.Profile, name string) {
 		if !mem.InjectBitFlip(addr, bit) {
 			continue
 		}
-		before := mem.Stats().CorrectedErrors
-		got, err := mem.Read(addr)
+		got, info, err := mem.ReadWithInfo(addr)
+		fixed := info.Corrected > 0 || info.CorrectedPointer
 		switch {
 		case err != nil:
 			detected++ // uncorrectable but not silent
 		case !bytes.Equal(got, ref[addr]):
 			silent++
-		case mem.Stats().CorrectedErrors > before:
+		case fixed:
 			corrected++
 		default:
 			clean++ // flip landed on a dead copy (e.g. block was re-fetched clean)
@@ -100,7 +100,7 @@ func runMode(p *workload.Profile, name string) {
 		// Restore DRAM to a clean image for the next trial: evict the
 		// (clean) line and undo the flip if it is still latent.
 		mem.LLC().Evict(addr)
-		if err == nil && bytes.Equal(got, ref[addr]) && mem.Stats().CorrectedErrors == before {
+		if err == nil && bytes.Equal(got, ref[addr]) && !fixed {
 			// nothing consumed the flip: revert it
 			mem.InjectBitFlip(addr, bit)
 		} else if err != nil || !bytes.Equal(got, ref[addr]) {

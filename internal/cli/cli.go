@@ -1,8 +1,8 @@
 // Package cli is the flag vocabulary shared by the cop binaries
-// (copbench, copfault, coptrace): one scheme-name registry, one seed
-// syntax, one set of spellings and defaults for the workload, worker, and
-// telemetry-server flags — so names and semantics cannot drift between
-// binaries.
+// (copbench, copfault, coptrace): scheme-name parsing over the one scheme
+// registry (memctrl.Schemes), one seed syntax, one set of spellings and
+// defaults for the workload, worker, and telemetry-server flags — so names
+// and semantics cannot drift between binaries.
 package cli
 
 import (
@@ -19,28 +19,11 @@ import (
 	"cop/internal/trace"
 )
 
-// Scheme pairs a command-line scheme name with its protection mode.
-type Scheme struct {
-	Name string
-	Mode memctrl.Mode
-}
-
-// Schemes is the canonical scheme registry, in the order "all" runs them:
-// baselines first, then the COP family, then the alternatives.
-var Schemes = []Scheme{
-	{"unprotected", memctrl.Unprotected},
-	{"ecc-dimm", memctrl.ECCDIMM},
-	{"cop", memctrl.COP},
-	{"cop-er", memctrl.COPER},
-	{"cop-adaptive", memctrl.COPAdaptive},
-	{"cop-chipkill", memctrl.COPChipkill},
-	{"ecc-region", memctrl.ECCRegion},
-}
-
-// SchemeNames returns the registered names, comma-joined for help text.
+// SchemeNames returns the scheme registry's names (memctrl.Schemes),
+// comma-joined for help text.
 func SchemeNames() string {
-	names := make([]string, len(Schemes))
-	for i, s := range Schemes {
+	names := make([]string, len(memctrl.Schemes))
+	for i, s := range memctrl.Schemes {
 		names[i] = s.Name
 	}
 	return strings.Join(names, ", ")
@@ -48,24 +31,18 @@ func SchemeNames() string {
 
 // ParseSchemes resolves a -scheme argument: "all" yields the full registry
 // in canonical order; otherwise a comma-separated list of names.
-func ParseSchemes(arg string) ([]Scheme, error) {
+func ParseSchemes(arg string) ([]memctrl.Scheme, error) {
 	if arg == "all" {
-		return append([]Scheme(nil), Schemes...), nil
+		return append([]memctrl.Scheme(nil), memctrl.Schemes...), nil
 	}
-	var out []Scheme
+	var out []memctrl.Scheme
 	for _, name := range strings.Split(arg, ",") {
 		name = strings.TrimSpace(name)
-		found := false
-		for _, s := range Schemes {
-			if s.Name == name {
-				out = append(out, s)
-				found = true
-				break
-			}
-		}
-		if !found {
+		s, ok := memctrl.LookupScheme(name)
+		if !ok {
 			return nil, fmt.Errorf("unknown scheme %q (want one of %s, or 'all')", name, SchemeNames())
 		}
+		out = append(out, s)
 	}
 	return out, nil
 }
@@ -78,13 +55,13 @@ func SchemeFlag(fs *flag.FlagSet, name, def, what string) *string {
 
 // SingleScheme resolves a -scheme argument that must name exactly one
 // scheme ("all" and comma lists are rejected).
-func SingleScheme(arg string) (Scheme, error) {
+func SingleScheme(arg string) (memctrl.Scheme, error) {
 	schemes, err := ParseSchemes(arg)
 	if err != nil {
-		return Scheme{}, err
+		return memctrl.Scheme{}, err
 	}
 	if len(schemes) != 1 {
-		return Scheme{}, fmt.Errorf("scheme %q: want exactly one of %s", arg, SchemeNames())
+		return memctrl.Scheme{}, fmt.Errorf("scheme %q: want exactly one of %s", arg, SchemeNames())
 	}
 	return schemes[0], nil
 }

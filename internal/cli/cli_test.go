@@ -15,7 +15,7 @@ import (
 
 func TestParseSchemes(t *testing.T) {
 	all, err := ParseSchemes("all")
-	if err != nil || len(all) != len(Schemes) {
+	if err != nil || len(all) != len(memctrl.Schemes) {
 		t.Fatalf("all: %v, %d schemes", err, len(all))
 	}
 	got, err := ParseSchemes("cop-er, ecc-dimm")

@@ -510,7 +510,7 @@ func TestSoakEndToEnd(t *testing.T) {
 	}
 	campaign := testClient(t, hs)
 	res, err := faultsim.Run(faultsim.Config{
-		Mode:       scheme.Mode,
+		Scheme:     scheme,
 		Seed:       0x50AC,
 		Blocks:     512,
 		Injections: 80,

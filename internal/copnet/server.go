@@ -52,7 +52,7 @@ type faultStore interface {
 // value opens a cop-er batched memory with auto topology and the paper's
 // 4 MB / 16-way LLC.
 type TenantConfig struct {
-	// Scheme is the protection scheme by canonical cli name
+	// Scheme is the protection scheme by registry name
 	// (cli.SchemeNames); empty selects "cop-er" — the scheme that
 	// protects incompressible blocks too, the right default for a
 	// service asserting zero silent corruption.
@@ -79,9 +79,9 @@ func (c TenantConfig) Open() (*shard.Batched, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shard.NewBatchedChecked(shard.BatchedConfig{
+	return shard.NewBatched(shard.BatchedConfig{
 		Shard: shard.Config{
-			Mem:    memctrl.Config{Mode: sc.Mode, LLCBytes: c.LLCBytes, LLCWays: c.LLCWays},
+			Mem:    memctrl.Config{Mode: sc.Mode, COPConfig: sc.COP, LLCBytes: c.LLCBytes, LLCWays: c.LLCWays},
 			Shards: c.Shards,
 		},
 		RingSize: c.RingSize,

@@ -3,6 +3,8 @@ package dram
 import (
 	"math/rand"
 	"testing"
+
+	"cop/internal/telemetry"
 )
 
 // addrFor builds a byte address hitting the given channel, bank, row, and
@@ -48,7 +50,7 @@ func TestRowMissThenHitLatency(t *testing.T) {
 	if want := tm.RCD + tm.CAS + tm.Burst; finish != want {
 		t.Fatalf("closed-bank read latency = %d, want %d", finish, want)
 	}
-	st := s.Stats()
+	st := s.Telemetry()
 	if st.RowMisses != 1 || st.RowHits != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -58,8 +60,8 @@ func TestRowMissThenHitLatency(t *testing.T) {
 	if want := now + tm.CAS + tm.Burst; finish2 != want {
 		t.Fatalf("open-row read latency = %d, want %d", finish2-now, tm.CAS+tm.Burst)
 	}
-	if s.Stats().RowHits != 1 {
-		t.Fatalf("stats: %+v", s.Stats())
+	if s.Telemetry().RowHits != 1 {
+		t.Fatalf("stats: %+v", s.Telemetry())
 	}
 }
 
@@ -72,8 +74,8 @@ func TestRowConflictLatency(t *testing.T) {
 	if want := now + tm.RP + tm.RCD + tm.CAS + tm.Burst; f2 != want {
 		t.Fatalf("conflict latency = %d, want %d", f2-now, want-now)
 	}
-	if s.Stats().RowConflicts != 1 {
-		t.Fatalf("stats: %+v", s.Stats())
+	if s.Telemetry().RowConflicts != 1 {
+		t.Fatalf("stats: %+v", s.Telemetry())
 	}
 }
 
@@ -172,17 +174,13 @@ func TestContentionIncreasesLatency(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulateAndReset(t *testing.T) {
+func TestStatsAccumulate(t *testing.T) {
 	s := New(DefaultConfig())
 	s.Access(0, 0, false)
 	s.Access(0, 64, true)
-	st := s.Stats()
+	st := s.Telemetry()
 	if st.Reads != 1 || st.Writes != 1 || st.TotalLatency == 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats().Reads != 0 {
-		t.Fatal("ResetStats did not clear")
 	}
 }
 
@@ -265,7 +263,7 @@ func TestRefreshThroughputCost(t *testing.T) {
 }
 
 func TestEnergyAccountScalesWithChips(t *testing.T) {
-	st := Stats{Reads: 1000, Writes: 200, RowMisses: 300}
+	st := telemetry.DRAMStats{Reads: 1000, Writes: 200, RowMisses: 300}
 	p := DDR3Energy()
 	x8 := NewEnergyAccount(p, 8)
 	x8.Charge(st, 100000, 4)
@@ -288,14 +286,14 @@ func TestClosedPageNeverHits(t *testing.T) {
 	f1 := s.Access(0, addr, false)
 	// Same row, immediately after: still a "miss" (auto-precharged).
 	s.Access(f1+100, addrFor(s, 0, 0, 5, 1), false)
-	st := s.Stats()
+	st := s.Telemetry()
 	if st.RowHits != 0 || st.RowMisses != 2 {
 		t.Fatalf("closed-page stats: %+v", st)
 	}
 	// But also never a conflict (no row is ever left open).
 	s.Access(f1+500, addrFor(s, 0, 0, 9, 0), false)
-	if s.Stats().RowConflicts != 0 {
-		t.Fatalf("closed-page conflict: %+v", s.Stats())
+	if s.Telemetry().RowConflicts != 0 {
+		t.Fatalf("closed-page conflict: %+v", s.Telemetry())
 	}
 }
 

@@ -10,6 +10,8 @@ package dram
 // DDR3-1600 datasheet currents; absolute values matter less than the
 // chip-count scaling, which is exact).
 
+import "cop/internal/telemetry"
+
 // EnergyParams holds per-chip energy costs.
 type EnergyParams struct {
 	// ActivateNJ is the energy of one ACT+PRE pair (row open/close).
@@ -50,7 +52,7 @@ func NewEnergyAccount(params EnergyParams, chipsPerRank int) *EnergyAccount {
 // the elapsed time (in memory cycles). Every chip in the rank participates
 // in every access (×8 DIMMs drive all chips per burst), and all chips of
 // all ranks burn background power for the whole run.
-func (a *EnergyAccount) Charge(st Stats, elapsedCycles uint64, totalRanks int) {
+func (a *EnergyAccount) Charge(st telemetry.DRAMStats, elapsedCycles uint64, totalRanks int) {
 	chips := float64(a.ChipsPerRank)
 	a.totalNJ += float64(st.RowMisses) * a.params.ActivateNJ * chips
 	a.totalNJ += float64(st.Reads) * a.params.ReadNJ * chips

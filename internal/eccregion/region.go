@@ -75,12 +75,6 @@ func New() *Region {
 	return &Region{store: NewPacked(EntryBits - 1)}
 }
 
-// Stats returns a copy of the region's counters.
-//
-// Deprecated: thin wrapper over the telemetry counters; use Telemetry in
-// new code.
-func (r *Region) Stats() Stats { return r.store.Stats() }
-
 // Telemetry returns the region section of the unified snapshot tree.
 func (r *Region) Telemetry() telemetry.RegionStats { return r.store.Telemetry() }
 

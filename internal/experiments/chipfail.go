@@ -72,14 +72,13 @@ func chipFail(o Options) (*Report, error) {
 			if !mem.InjectChipFailure(addr, chip, byte(rng.next())) {
 				continue
 			}
-			before := mem.Stats().CorrectedErrors
-			got, rerr := mem.Read(addr)
+			got, info, rerr := mem.ReadWithInfo(addr)
 			switch {
 			case rerr != nil:
 				detected++
 			case !bytes.Equal(got, ref[addr]):
 				silent++
-			case mem.Stats().CorrectedErrors > before:
+			case info.Corrected > 0 || info.CorrectedPointer:
 				corrected++
 			}
 			// Restore for the next trial.

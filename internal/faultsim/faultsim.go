@@ -88,8 +88,10 @@ func (o Outcome) String() string {
 
 // Config parameterizes a campaign.
 type Config struct {
-	// Mode is the protection scheme under test.
-	Mode memctrl.Mode
+	// Scheme is the protection scheme under test, a registry entry
+	// (memctrl.Schemes) whose COP geometry the campaign memory is built
+	// with.
+	Scheme memctrl.Scheme
 	// Seed makes the whole campaign reproducible.
 	Seed uint64
 	// Blocks is the populated footprint in 64-byte blocks (default 2048).
@@ -137,7 +139,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Memory, when non-nil, is an externally owned campaign target — a
 	// live front-end (shard.Batched included) the campaign drives instead
-	// of building its own controller. Mode/LLCBytes/LLCWays then describe
+	// of building its own controller. Scheme/LLCBytes/LLCWays then describe
 	// the external memory only nominally (the campaign does not construct
 	// anything from them), and Tracer is not attached by the campaign.
 	// An external memory may be reconfigured concurrently (live scheme
@@ -198,7 +200,7 @@ type ModeOutcomes struct {
 
 // Result is a completed campaign.
 type Result struct {
-	Scheme   memctrl.Mode
+	Scheme   memctrl.Scheme
 	Workload string
 	Seed     uint64
 	Blocks   int
@@ -530,7 +532,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Blocks < cfg.Workers {
 		return nil, fmt.Errorf("faultsim: %d blocks cannot feed %d workers", cfg.Blocks, cfg.Workers)
 	}
-	memCfg := memctrl.Config{Mode: cfg.Mode, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays, Tracer: cfg.Tracer}
+	memCfg := memctrl.Config{Mode: cfg.Scheme.Mode, COPConfig: cfg.Scheme.COP,
+		LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays, Tracer: cfg.Tracer}
 	external := cfg.Memory != nil
 	var mem target
 	if external {
@@ -543,7 +546,9 @@ func Run(cfg Config) (*Result, error) {
 		if sets := cfg.LLCBytes / (cfg.LLCWays * memctrl.BlockBytes); shards > sets {
 			shards = sets
 		}
-		mem = shard.New(shard.Config{Mem: memCfg, Shards: shards})
+		if mem, err = shard.New(shard.Config{Mem: memCfg, Shards: shards}); err != nil {
+			return nil, err
+		}
 	} else {
 		mem = memctrl.New(memCfg)
 	}
@@ -715,7 +720,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Scheme:   cfg.Mode,
+		Scheme:   cfg.Scheme,
 		Workload: cfg.Workload,
 		Seed:     cfg.Seed,
 		Blocks:   cfg.Blocks,

@@ -18,7 +18,7 @@ func TestCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		injections = 2000
 	}
-	cfg := Config{Mode: memctrl.COP, Seed: 0xC0FFEE, Injections: injections}
+	cfg := Config{Scheme: memctrl.Scheme{Mode: memctrl.COP}, Seed: 0xC0FFEE, Injections: injections}
 
 	r1, err := Run(cfg)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestCampaignDeterministic(t *testing.T) {
 		t.Errorf("background traffic saw %d corrupt reads — a fault leaked outside its classified window", r1.BackgroundMismatches)
 	}
 	// A different seed must visit different faults.
-	r3, err := Run(Config{Mode: memctrl.COP, Seed: 0xBEEF, Injections: injections})
+	r3, err := Run(Config{Scheme: memctrl.Scheme{Mode: memctrl.COP}, Seed: 0xBEEF, Injections: injections})
 	if err != nil {
 		t.Fatalf("campaign 3: %v", err)
 	}
@@ -59,19 +59,15 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignAllSchemes runs a short campaign against every protection
-// mode and checks the scheme-level invariants the paper's §4 comparison
+// TestCampaignAllSchemes runs a short campaign against every registry
+// scheme and checks the scheme-level invariants the paper's §4 comparison
 // rests on.
 func TestCampaignAllSchemes(t *testing.T) {
-	modes := []memctrl.Mode{
-		memctrl.Unprotected, memctrl.COP, memctrl.COPER, memctrl.ECCRegion,
-		memctrl.ECCDIMM, memctrl.COPAdaptive, memctrl.COPChipkill,
-	}
-	for _, m := range modes {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
+	for _, sc := range memctrl.Schemes {
+		sc, m := sc, sc.Mode
+		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Mode: m, Seed: 7, Injections: 600, Blocks: 1024})
+			res, err := Run(Config{Scheme: sc, Seed: 7, Injections: 600, Blocks: 1024})
 			if err != nil {
 				t.Fatalf("campaign: %v", err)
 			}
@@ -91,7 +87,7 @@ func TestCampaignAllSchemes(t *testing.T) {
 				}
 			default:
 				if res.Outcomes(Corrected) == 0 {
-					t.Errorf("%s corrected nothing", m)
+					t.Errorf("%s corrected nothing", sc)
 				}
 			}
 		})
@@ -108,7 +104,7 @@ func TestSingleBitFullyCorrected(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(Config{
-				Mode: m, Seed: 11, Injections: 400, Blocks: 1024,
+				Scheme: memctrl.Scheme{Mode: m}, Seed: 11, Injections: 400, Blocks: 1024,
 				Modes: []reliability.FailureMode{reliability.SingleBit},
 			})
 			if err != nil {
@@ -133,7 +129,7 @@ func TestSingleBitFullyCorrected(t *testing.T) {
 // RNG streams, running the same COP campaign on 4 concurrent workers must
 // reproduce the serial 4-worker table bit for bit.
 func TestParallelMatchesSerial(t *testing.T) {
-	base := Config{Mode: memctrl.COP, Seed: 0xFEED, Injections: 1500, Workers: 4}
+	base := Config{Scheme: memctrl.Scheme{Mode: memctrl.COP}, Seed: 0xFEED, Injections: 1500, Workers: 4}
 	serialCfg, parallelCfg := base, base
 	parallelCfg.Parallel = true
 
@@ -175,7 +171,7 @@ func TestBudgetSplit(t *testing.T) {
 // TestTableShape: the rendered table names every failure mode and outcome
 // column (copbench prints it verbatim).
 func TestTableShape(t *testing.T) {
-	res, err := Run(Config{Mode: memctrl.COPER, Seed: 3, Injections: 200, Blocks: 512})
+	res, err := Run(Config{Scheme: memctrl.Scheme{Mode: memctrl.COPER}, Seed: 3, Injections: 200, Blocks: 512})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -199,7 +195,7 @@ func TestTableShape(t *testing.T) {
 func TestCampaignBlackBoxDump(t *testing.T) {
 	tr := trace.New(trace.Config{})
 	tr.Start()
-	res, err := Run(Config{Mode: memctrl.Unprotected, Seed: 0xC0FFEE, Injections: 500, Tracer: tr})
+	res, err := Run(Config{Scheme: memctrl.Scheme{Mode: memctrl.Unprotected}, Seed: 0xC0FFEE, Injections: 500, Tracer: tr})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -240,7 +236,7 @@ func TestCampaignBlackBoxDump(t *testing.T) {
 	}
 	// Once frozen, the rings stop moving: a second campaign over the same
 	// tracer must not cut another dump until Reset.
-	res2, err := Run(Config{Mode: memctrl.Unprotected, Seed: 0xBEEF, Injections: 200, Tracer: tr})
+	res2, err := Run(Config{Scheme: memctrl.Scheme{Mode: memctrl.Unprotected}, Seed: 0xBEEF, Injections: 200, Tracer: tr})
 	if err != nil {
 		t.Fatalf("campaign 2: %v", err)
 	}

@@ -72,42 +72,57 @@ func (m Mode) String() string {
 	}
 }
 
-// Stats counts controller events.
-//
-// Deprecated: Stats is the legacy counter surface, kept so existing
-// callers compile; it is now a thin copy of the telemetry counters. New
-// code should read Controller.Snapshot (the unified telemetry tree, which
-// adds the cache and region sections, histograms, and derived rates).
-type Stats struct {
-	Loads, Stores         uint64
-	Fills, Writebacks     uint64
-	StoredCompressed      uint64
-	StoredRaw             uint64
-	AliasRetained         uint64 // writebacks rejected, line pinned in LLC
-	CorrectedErrors       uint64
-	UncorrectableErrors   uint64
-	RegionReads           uint64 // COP-ER / ECC-region metadata accesses
-	Scrubs                uint64 // corrected images rewritten to DRAM
-	EverIncompressible    uint64 // distinct blocks ever written raw (Fig 12)
-	DIMMCheckBytesWritten uint64
+// Scheme is one entry of the scheme registry: the name every binary, the
+// public Open, the service's tenants, and live migration use for a
+// protection scheme, its mode, and the COP code geometry.
+type Scheme struct {
+	Name string
+	Mode Mode
+	// COP parameterizes COP and COP-ER (zero value: core.NewConfig4()).
+	COP core.Config
 }
 
-// Add accumulates o's counters into s (used by sharded front-ends to sum
-// per-shard statistics).
-func (s *Stats) Add(o Stats) {
-	s.Loads += o.Loads
-	s.Stores += o.Stores
-	s.Fills += o.Fills
-	s.Writebacks += o.Writebacks
-	s.StoredCompressed += o.StoredCompressed
-	s.StoredRaw += o.StoredRaw
-	s.AliasRetained += o.AliasRetained
-	s.CorrectedErrors += o.CorrectedErrors
-	s.UncorrectableErrors += o.UncorrectableErrors
-	s.RegionReads += o.RegionReads
-	s.Scrubs += o.Scrubs
-	s.EverIncompressible += o.EverIncompressible
-	s.DIMMCheckBytesWritten += o.DIMMCheckBytesWritten
+func (s Scheme) String() string {
+	if s.Name == "" {
+		return s.Mode.String()
+	}
+	return s.Name
+}
+
+// Schemes is the scheme registry, in the order "all" runs them: baselines
+// first, then the COP family, then the alternatives. Whether an entry can
+// be a live-migration endpoint is decided by migratable, from its Mode.
+var Schemes = []Scheme{
+	{Name: "unprotected", Mode: Unprotected},
+	{Name: "ecc-dimm", Mode: ECCDIMM},
+	{Name: "cop", Mode: COP, COP: core.NewConfig4()},
+	{Name: "cop-8", Mode: COP, COP: core.NewConfig8()},
+	{Name: "cop-er", Mode: COPER, COP: core.NewConfig4()},
+	{Name: "cop-adaptive", Mode: COPAdaptive},
+	{Name: "cop-chipkill", Mode: COPChipkill},
+	{Name: "ecc-region", Mode: ECCRegion},
+}
+
+// LookupScheme resolves a registry name.
+func LookupScheme(name string) (Scheme, bool) {
+	for _, s := range Schemes {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scheme{}, false
+}
+
+// migratable reports whether a scheme can be an endpoint of a live
+// migration. COP-ER and COP-CK are excluded: their raw images own live
+// ECC-region entries whose allocation order is not reproducible across an
+// online re-encode, so the offline-equivalence guarantee cannot hold.
+func migratable(m Mode) bool {
+	switch m {
+	case Unprotected, COP, COPAdaptive, ECCRegion, ECCDIMM:
+		return true
+	}
+	return false
 }
 
 // ErrUncorrectable is surfaced when ECC detects an unrepairable error.
@@ -135,7 +150,7 @@ const (
 
 // ReadInfo reports what the controller observed servicing one read — the
 // decoder verdicts that fault-injection classification needs, which the
-// plain Read path only folds into aggregate Stats.
+// plain Read path only folds into the aggregate counters.
 type ReadInfo struct {
 	// LLCHit: the read was served from the cache; no DRAM image decoded.
 	LLCHit bool
@@ -279,29 +294,6 @@ func (c *Controller) Tracer() *trace.Handle { return c.th }
 
 // Mode returns the protection mode.
 func (c *Controller) Mode() Mode { return c.mode }
-
-// Stats returns a copy of the counters.
-//
-// Deprecated: thin wrapper over the telemetry counters; use Snapshot in
-// new code.
-func (c *Controller) Stats() Stats {
-	t := c.tel.Snapshot()
-	return Stats{
-		Loads:                 t.Loads,
-		Stores:                t.Stores,
-		Fills:                 t.Fills,
-		Writebacks:            t.Writebacks,
-		StoredCompressed:      t.StoredCompressed,
-		StoredRaw:             t.StoredRaw,
-		AliasRetained:         t.AliasRetained,
-		CorrectedErrors:       t.CorrectedErrors,
-		UncorrectableErrors:   t.UncorrectableErrors,
-		RegionReads:           t.RegionReads,
-		Scrubs:                t.Scrubs,
-		EverIncompressible:    t.EverIncompressible,
-		DIMMCheckBytesWritten: t.DIMMCheckBytesWritten,
-	}
-}
 
 // Snapshot returns the controller's unified telemetry tree: its own
 // counters, the LLC section, and (in region-backed modes) the ECC-region
@@ -686,8 +678,9 @@ func (c *Controller) Read(addr uint64) ([]byte, error) {
 
 // ReadWithInfo is Read plus the decoder observations for the access — the
 // hook fault-injection classifiers use to see the verdicts (compressed?
-// corrected? region consulted?) instead of inferring them from Stats
-// deltas.
+// corrected? region consulted?) instead of inferring them from counter
+// deltas. A read corrected an error exactly when Corrected > 0 or
+// CorrectedPointer, the condition that bumps CorrectedErrors.
 func (c *Controller) ReadWithInfo(addr uint64) ([]byte, ReadInfo, error) {
 	out := make([]byte, BlockBytes)
 	info, err := c.ReadInto(out, addr)

@@ -80,7 +80,7 @@ func TestRoundTripThroughDRAM(t *testing.T) {
 				t.Fatalf("%v: mismatch at %#x", m, addr)
 			}
 		}
-		st := c.Stats()
+		st := c.Snapshot().Controller
 		if st.Writebacks == 0 {
 			t.Fatalf("%v: no writebacks — LLC too large for the test", m)
 		}
@@ -149,8 +149,8 @@ func TestSingleBitFlipCorrected(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("case %d (%v): silent corruption", i, tc.mode)
 		}
-		if c.Stats().CorrectedErrors != 1 {
-			t.Fatalf("case %d (%v): stats %+v", i, tc.mode, c.Stats())
+		if c.Snapshot().Controller.CorrectedErrors != 1 {
+			t.Fatalf("case %d (%v): stats %+v", i, tc.mode, c.Snapshot().Controller)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestFlipAndCorrectLoop(t *testing.T) {
 			c.LLC().Evict(0x4000)
 			c.InjectBitFlip(0x4000, bit) // restore
 		}
-		if c.Stats().CorrectedErrors == 0 {
+		if c.Snapshot().Controller.CorrectedErrors == 0 {
 			t.Fatalf("%v: corrections not counted", tc.mode)
 		}
 	}
@@ -244,8 +244,8 @@ func TestDoubleErrorDetectedCOP(t *testing.T) {
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("expected uncorrectable, got %v", err)
 	}
-	if c.Stats().UncorrectableErrors != 1 {
-		t.Fatalf("stats: %+v", c.Stats())
+	if c.Snapshot().Controller.UncorrectableErrors != 1 {
+		t.Fatalf("stats: %+v", c.Snapshot().Controller)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestStatsClassification(t *testing.T) {
 		c.Write(uint64(i)*BlockBytes, d)
 	}
 	c.Flush()
-	st := c.Stats()
+	st := c.Snapshot().Controller
 	if st.StoredCompressed == 0 || st.StoredRaw == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -279,14 +279,14 @@ func TestCOPERRegionGrowsOnlyForIncompressible(t *testing.T) {
 		c.Write(uint64(i)*BlockBytes, compressibleData(rng))
 	}
 	c.Flush()
-	if got := c.ER().Region().Stats().Allocated; got != 0 {
+	if got := c.ER().Region().Telemetry().Live; got != 0 {
 		t.Fatalf("compressible-only workload allocated %d entries", got)
 	}
 	for i := 500; i < 600; i++ {
 		c.Write(uint64(i)*BlockBytes, randomData(rng))
 	}
 	c.Flush()
-	if got := c.ER().Region().Stats().Allocated; got == 0 {
+	if got := c.ER().Region().Telemetry().Live; got == 0 {
 		t.Fatal("incompressible blocks allocated no entries")
 	}
 }
@@ -297,7 +297,7 @@ func TestCOPEREntryReuseAcrossRewrite(t *testing.T) {
 	addr := uint64(0x8000)
 	c.Write(addr, randomData(rng))
 	c.Flush()
-	alloc1 := c.ER().Region().Stats().Allocated
+	alloc1 := c.ER().Region().Telemetry().Live
 	// Read (sets WasUncompressed+Ptr), rewrite incompressible, flush.
 	if _, err := c.Read(addr); err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestCOPEREntryReuseAcrossRewrite(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	alloc2 := c.ER().Region().Stats().Allocated
+	alloc2 := c.ER().Region().Telemetry().Live
 	if alloc2 != alloc1 {
 		t.Fatalf("entry count changed on rewrite: %d -> %d", alloc1, alloc2)
 	}
@@ -436,8 +436,8 @@ func TestScrubStatsCounted(t *testing.T) {
 	if _, err := c.Read(0xA000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().Scrubs != 1 {
-		t.Fatalf("scrubs = %d, want 1", c.Stats().Scrubs)
+	if c.Snapshot().Controller.Scrubs != 1 {
+		t.Fatalf("scrubs = %d, want 1", c.Snapshot().Controller.Scrubs)
 	}
 }
 
@@ -449,13 +449,13 @@ func TestScrubCOPERPreservesEntryAccounting(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := c.ER().Region().Stats().Allocated
+	before := c.ER().Region().Telemetry().Live
 	c.InjectBitFlip(0xB000, 200)
 	got, err := c.Read(0xB000)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("scrubbed read: %v", err)
 	}
-	if after := c.ER().Region().Stats().Allocated; after != before {
+	if after := c.ER().Region().Telemetry().Live; after != before {
 		t.Fatalf("scrub leaked region entries: %d -> %d", before, after)
 	}
 }
@@ -607,7 +607,7 @@ func TestChipkillModeSurvivesChipFailure(t *testing.T) {
 			t.Fatalf("%#x: corrupted after chip failure", addr)
 		}
 	}
-	if c.Stats().CorrectedErrors == 0 {
+	if c.Snapshot().Controller.CorrectedErrors == 0 {
 		t.Fatal("chip reconstructions not counted")
 	}
 }
@@ -637,16 +637,16 @@ func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := c.CK().Store().Stats().Allocated
+	before := c.CK().Store().Telemetry().Live
 	c.InjectChipFailure(0xF000, 5, 0xFF)
 	got, err := c.Read(0xF000)
 	if err != nil || !bytes.Equal(got, d) {
 		t.Fatalf("scrubbed chip-failure read: %v", err)
 	}
-	if c.Stats().Scrubs == 0 {
+	if c.Snapshot().Controller.Scrubs == 0 {
 		t.Fatal("scrub not performed")
 	}
-	if after := c.CK().Store().Stats().Allocated; after != before {
+	if after := c.CK().Store().Telemetry().Live; after != before {
 		t.Fatalf("scrub leaked entries: %d -> %d", before, after)
 	}
 	// The scrub rewrote a clean image: a second chip failure (different
@@ -763,8 +763,8 @@ func TestFlushRetainsAliasLines(t *testing.T) {
 		if c.InDRAM(0x6000) {
 			t.Fatalf("%v: alias block written to DRAM", m)
 		}
-		if c.Stats().AliasRetained == 0 {
-			t.Fatalf("%v: retention not counted: %+v", m, c.Stats())
+		if c.Snapshot().Controller.AliasRetained == 0 {
+			t.Fatalf("%v: retention not counted: %+v", m, c.Snapshot().Controller)
 		}
 		got, err := c.Read(0x6000)
 		if err != nil {

@@ -94,18 +94,6 @@ func (o *oldScheme) dropEntry(addr uint64) {
 	}
 }
 
-// migratable reports whether a scheme can be an endpoint of a live
-// migration. COP-ER and COP-CK are excluded: their raw images own live
-// ECC-region entries whose allocation order is not reproducible across an
-// online re-encode, so the offline-equivalence guarantee cannot hold.
-func migratable(m Mode) bool {
-	switch m {
-	case Unprotected, COP, COPAdaptive, ECCRegion, ECCDIMM:
-		return true
-	}
-	return false
-}
-
 // Migrating reports whether a scheme migration is in flight.
 func (c *Controller) Migrating() bool { return c.old != nil }
 

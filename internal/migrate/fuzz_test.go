@@ -60,11 +60,14 @@ func FuzzMigrateRangeOps(f *testing.F) {
 		}
 		memCfg := memctrl.Config{Mode: memctrl.COP, COPConfig: core.NewConfig4(), LLCBytes: 16 * 1024, LLCWays: 4}
 		ref := memctrl.New(memCfg)
-		bm := shard.NewBatched(shard.BatchedConfig{
+		bm, err := shard.NewBatched(shard.BatchedConfig{
 			Shard:    shard.Config{Mem: memCfg, Shards: 4},
 			RingSize: 16,
 			BatchMax: 4,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer bm.Close()
 
 		const span = 1 << 12
@@ -72,7 +75,7 @@ func FuzzMigrateRangeOps(f *testing.F) {
 		for i := range payload {
 			payload[i] = byte(i * 31)
 		}
-		names := Names()
+		names := migratableNames()
 		for p := 0; p+3 < len(program); p += 4 {
 			addr := (uint64(program[p+1])<<4 | uint64(program[p+2])&0xF) % span
 			n := 1 + int(program[p+3])%(2*shard.BlockBytes+1)

@@ -20,59 +20,12 @@ package migrate
 
 import (
 	"fmt"
-	"sort"
 
-	"cop/internal/core"
 	"cop/internal/memctrl"
 	"cop/internal/shard"
 	"cop/internal/telemetry"
 	"cop/internal/trace"
 )
-
-// Scheme is a named protection-scheme target a live migration can
-// convert a memory to.
-type Scheme struct {
-	// Name is the registry key (e.g. "cop-8").
-	Name string
-	// Mode is the memctrl protection mode.
-	Mode memctrl.Mode
-	// COP parameterizes COP-family modes (zero value means
-	// core.NewConfig4()).
-	COP core.Config
-}
-
-// The built-in registry covers every migratable scheme (memctrl
-// restricts live migration to schemes whose DRAM images are
-// self-describing; COP-ER and chipkill region pointers are not).
-var schemes = map[string]Scheme{}
-
-// Register adds (or replaces) a scheme in the registry.
-func Register(s Scheme) { schemes[s.Name] = s }
-
-// Lookup resolves a registry name.
-func Lookup(name string) (Scheme, bool) {
-	s, ok := schemes[name]
-	return s, ok
-}
-
-// Names lists the registered scheme names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(schemes))
-	for n := range schemes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register(Scheme{Name: "unprotected", Mode: memctrl.Unprotected})
-	Register(Scheme{Name: "cop-4", Mode: memctrl.COP, COP: core.NewConfig4()})
-	Register(Scheme{Name: "cop-8", Mode: memctrl.COP, COP: core.NewConfig8()})
-	Register(Scheme{Name: "cop-adaptive", Mode: memctrl.COPAdaptive, COP: core.NewConfig4()})
-	Register(Scheme{Name: "ecc-region", Mode: memctrl.ECCRegion})
-	Register(Scheme{Name: "ecc-dimm", Mode: memctrl.ECCDIMM})
-}
 
 // Options parameterizes a live migration.
 type Options struct {
@@ -88,11 +41,13 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// MigrateTo migrates b's memory to the named registry scheme.
+// MigrateTo migrates b's memory to the named scheme of the registry
+// (memctrl.Schemes). Targets memctrl cannot migrate to fail with its
+// "cannot migrate" error.
 func MigrateTo(b *shard.Batched, scheme string, opts Options) error {
-	s, ok := Lookup(scheme)
+	s, ok := memctrl.LookupScheme(scheme)
 	if !ok {
-		return fmt.Errorf("migrate: unknown scheme %q (have %v)", scheme, Names())
+		return fmt.Errorf("migrate: unknown scheme %q", scheme)
 	}
 	return Migrate(b, s, opts)
 }
@@ -109,7 +64,7 @@ func MigrateTo(b *shard.Batched, scheme string, opts Options) error {
 //
 // Serialized against Reshard and concurrent Migrate calls via the
 // front-end's reconfiguration lock; ordinary traffic is never excluded.
-func Migrate(b *shard.Batched, s Scheme, opts Options) error {
+func Migrate(b *shard.Batched, s memctrl.Scheme, opts Options) error {
 	opts = opts.normalize()
 	return b.Reconfigure(func() error {
 		mig := b.MigrationTel()
@@ -145,7 +100,7 @@ func Migrate(b *shard.Batched, s Scheme, opts Options) error {
 
 // beginShard quiesces shard i just long enough to switch its decode and
 // encode machinery to the target scheme, then resumes it.
-func beginShard(b *shard.Batched, i int, from memctrl.Mode, s Scheme) error {
+func beginShard(b *shard.Batched, i int, from memctrl.Mode, s memctrl.Scheme) error {
 	if err := b.DrainShard(i); err != nil {
 		b.SetShardMode(i, shard.ModeEnabled)
 		return fmt.Errorf("migrate: drain shard %d: %w", i, err)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,8 +41,8 @@ func compressibleWorkload(t *testing.T) string {
 	return "migrate-smallint"
 }
 
-func newBatched(s Scheme, shards int) *shard.Batched {
-	return shard.NewBatched(shard.BatchedConfig{
+func newBatched(s memctrl.Scheme, shards int) *shard.Batched {
+	b, err := shard.NewBatched(shard.BatchedConfig{
 		Shard: shard.Config{
 			Mem:    memctrl.Config{Mode: s.Mode, COPConfig: s.COP, LLCBytes: 32 * 1024, LLCWays: 8},
 			Shards: shards,
@@ -48,15 +50,33 @@ func newBatched(s Scheme, shards int) *shard.Batched {
 		RingSize: 32,
 		BatchMax: 8,
 	})
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
-func mustScheme(t *testing.T, name string) Scheme {
+func mustScheme(t *testing.T, name string) memctrl.Scheme {
 	t.Helper()
-	s, ok := Lookup(name)
+	s, ok := memctrl.LookupScheme(name)
 	if !ok {
 		t.Fatalf("scheme %q not registered", name)
 	}
 	return s
+}
+
+// migratableNames lists, sorted, the registry entries live migration
+// accepts as endpoints: every scheme except COP-ER and COP-CK, whose
+// region entries memctrl refuses to carry across a re-encode.
+func migratableNames() []string {
+	var out []string
+	for _, s := range memctrl.Schemes {
+		if s.Mode != memctrl.COPER && s.Mode != memctrl.COPChipkill {
+			out = append(out, s.Name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestMigrationUnderFire is the issue's acceptance campaign: a seeded
@@ -72,10 +92,10 @@ func TestMigrationUnderFire(t *testing.T) {
 		dump map[uint64][]byte
 	}
 	campaign := func(online bool) outcome {
-		bm := newBatched(mustScheme(t, "cop-4"), 4)
+		bm := newBatched(mustScheme(t, "cop"), 4)
 		defer bm.Close()
 		cfg := faultsim.Config{
-			Mode:       memctrl.COP,
+			Scheme:     mustScheme(t, "cop"),
 			Seed:       0xF14E,
 			Blocks:     2048,
 			Injections: 800,
@@ -158,11 +178,11 @@ func TestMigrationUnderFire(t *testing.T) {
 }
 
 // TestMigrateAllSchemePairsUnderTraffic migrates between every ordered
-// pair of registered schemes while two goroutines keep oracle-verified
-// traffic flowing, then sweeps the whole footprint: every block must still
-// read back its oracle content under the new scheme.
+// pair of migratable registry schemes while two goroutines keep
+// oracle-verified traffic flowing, then sweeps the whole footprint: every
+// block must still read back its oracle content under the new scheme.
 func TestMigrateAllSchemePairsUnderTraffic(t *testing.T) {
-	names := Names()
+	names := migratableNames()
 	for fi, from := range names {
 		for ti, to := range names {
 			if from == to {
@@ -261,9 +281,9 @@ func TestMigrateAllSchemePairsUnderTraffic(t *testing.T) {
 
 // TestMigrateUnknownScheme pins the registry error path.
 func TestMigrateUnknownScheme(t *testing.T) {
-	bm := newBatched(mustScheme(t, "cop-4"), 2)
+	bm := newBatched(mustScheme(t, "cop"), 2)
 	defer bm.Close()
-	err := MigrateTo(bm, "cop-42", Options{})
+	err := MigrateTo(bm, "cop-4", Options{})
 	if err == nil {
 		t.Fatal("MigrateTo accepted an unknown scheme")
 	}
@@ -272,30 +292,57 @@ func TestMigrateUnknownScheme(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the built-in scheme set and Register/Lookup behavior.
+// TestRegistry: MigrateTo resolves names through the one scheme registry
+// (memctrl.Schemes), carries the entry's COP geometry to every shard, and
+// refuses a COP-ER or COP-CK endpoint with memctrl's "cannot migrate".
 func TestRegistry(t *testing.T) {
-	for _, want := range []string{"unprotected", "cop-4", "cop-8", "cop-adaptive", "ecc-region", "ecc-dimm"} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("built-in scheme %q missing", want)
+	bm := newBatched(mustScheme(t, "cop"), 2)
+	defer bm.Close()
+	// All-zero blocks are compressible under both geometries; the
+	// footprint is four times the LLC, so most reads decode DRAM images.
+	const blocks = 2048
+	block := make([]byte, shard.BlockBytes)
+	for i := 0; i < blocks; i++ {
+		if err := bm.Write(uint64(i)*shard.BlockBytes, block); err != nil {
+			t.Fatal(err)
 		}
 	}
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
+	if err := MigrateTo(bm, "cop-8", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bm.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	bm.Resume()
+	decoded := 0
+	for i := 0; i < blocks; i++ {
+		info, err := bm.ReadInto(block, uint64(i)*shard.BlockBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.FromDRAM {
+			continue
+		}
+		decoded++
+		if want := core.NewConfig8().Segments; info.ValidCodewords != want {
+			t.Fatalf("block %d after migrating to cop-8: %d valid code words, want %d", i, info.ValidCodewords, want)
 		}
 	}
-	Register(Scheme{Name: "test-cop-4", Mode: memctrl.COP, COP: core.NewConfig4()})
-	if _, ok := Lookup("test-cop-4"); !ok {
-		t.Fatal("Register did not add the scheme")
+	if decoded == 0 {
+		t.Fatal("no read decoded a DRAM image")
 	}
-	delete(schemes, "test-cop-4")
+	for _, name := range []string{"cop-er", "cop-chipkill"} {
+		err := MigrateTo(bm, name, Options{})
+		if err == nil || !strings.Contains(err.Error(), "cannot migrate") {
+			t.Errorf("MigrateTo(%s) = %v, want memctrl's cannot-migrate error", name, err)
+		}
+	}
 }
 
 // TestMigrationTelemetryProgress: a migration must account its chunk count
 // and block total in the Migration section of the snapshot.
 func TestMigrationTelemetryProgress(t *testing.T) {
-	bm := newBatched(mustScheme(t, "cop-4"), 2)
+	bm := newBatched(mustScheme(t, "cop"), 2)
 	defer bm.Close()
 	const blocks = 256
 	buf := make([]byte, shard.BlockBytes)
@@ -333,12 +380,16 @@ func TestMigrationTelemetryProgress(t *testing.T) {
 }
 
 func ExampleMigrate() {
-	bm := shard.NewBatched(shard.BatchedConfig{
+	bm, err := shard.NewBatched(shard.BatchedConfig{
 		Shard: shard.Config{
 			Mem:    memctrl.Config{Mode: memctrl.COP, COPConfig: core.NewConfig4(), LLCBytes: 16 * 1024, LLCWays: 4},
 			Shards: 2,
 		},
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer bm.Close()
 	_ = bm.Write(0, make([]byte, shard.BlockBytes))
 	_ = bm.Flush()

@@ -17,7 +17,7 @@ import (
 // demand read land in corrected_errors, and both appear in the JSON
 // snapshot and the Prometheus text exposition.
 func TestScrubberTelemetrySplit(t *testing.T) {
-	bm := newBatched(mustScheme(t, "cop-4"), 2)
+	bm := newBatched(mustScheme(t, "cop"), 2)
 	defer bm.Close()
 
 	const blocks = 256
@@ -56,13 +56,17 @@ func TestScrubberTelemetrySplit(t *testing.T) {
 	s.Start()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		// The patrol can reach all three targets before it has walked the
+		// whole footprint; the scan count is checked below, so wait for
+		// both.
 		c := bm.Snapshot().Controller
-		if c.ScrubCorrected >= uint64(len(scrubTargets)) {
+		if c.ScrubCorrected >= uint64(len(scrubTargets)) && c.ScrubScans >= blocks {
 			break
 		}
 		if time.Now().After(deadline) {
 			s.Stop()
-			t.Fatalf("patrol corrected %d of %d injected faults before timeout", c.ScrubCorrected, len(scrubTargets))
+			t.Fatalf("patrol corrected %d of %d injected faults in %d scans before timeout",
+				c.ScrubCorrected, len(scrubTargets), c.ScrubScans)
 		}
 		time.Sleep(time.Millisecond)
 	}

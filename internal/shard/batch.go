@@ -249,13 +249,12 @@ type Batched struct {
 	closed   bool          // set by Close (reconfMu)
 
 	// Retired-shard accumulators: when a reshard retires a shard its final
-	// counters fold in here, keeping Ops/Stats/Snapshot monotonic across
+	// counters fold in here, keeping Ops/Snapshot monotonic across
 	// topology swaps.
 	retiredOps   atomic.Uint64
 	retiredMu    sync.Mutex
 	retiredTel   telemetry.Snapshot
 	haveRetired  bool
-	retiredStats memctrl.Stats
 	retiredBatch telemetry.BatchStats
 
 	// migTel counts reconfiguration progress (scheme migrations, reshards,
@@ -293,25 +292,14 @@ func newBatchShard(ringSize int, slot *shardSlot, idx int, logN uint) *batchShar
 	return bs
 }
 
-// NewBatched builds a batched controller, panicking on an invalid config
-// (NewBatchedChecked reports the error instead). The workers it starts are
-// released by Close.
-func NewBatched(cfg BatchedConfig) *Batched {
-	b, err := NewBatchedChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return b
-}
-
-// NewBatchedChecked builds a batched controller, returning an error for an
-// invalid config instead of panicking.
-func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
+// NewBatched builds a batched controller, returning an error for an
+// invalid config. The workers it starts are released by Close.
+func NewBatched(cfg BatchedConfig) (*Batched, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the shard config here as well (NewChecked re-normalizes,
+	// Normalize the shard config here as well (New re-normalizes,
 	// idempotently) so the stored config carries the resolved stripe count
 	// and LLC geometry a later Reshard scales from.
 	scfg, err := cfg.Shard.Normalize()
@@ -319,7 +307,7 @@ func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
 		return nil, err
 	}
 	cfg.Shard = scfg
-	inner, err := NewChecked(scfg)
+	inner, err := New(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1163,24 +1151,6 @@ func (b *Batched) Ops() uint64 {
 		n += bs.slot.ops.Load()
 	}
 	return n
-}
-
-// Stats aggregates every shard's counters (retired shards included).
-//
-// Deprecated: thin wrapper over the merged telemetry snapshot; use
-// Snapshot in new code.
-func (b *Batched) Stats() memctrl.Stats {
-	var total memctrl.Stats
-	for _, bs := range b.topo.Load().bshards {
-		bs.slot.mu.Lock()
-		st := bs.slot.ctrl.Stats()
-		bs.slot.mu.Unlock()
-		total.Add(st)
-	}
-	b.retiredMu.Lock()
-	total.Add(b.retiredStats)
-	b.retiredMu.Unlock()
-	return total
 }
 
 // Snapshot merges every shard's telemetry tree and attaches the batch

@@ -14,11 +14,11 @@ import (
 // newBatched builds a batched controller over the same geometry as
 // newSharded, with a small ring so full-ring backpressure gets exercised.
 func newBatched(m memctrl.Mode) *Batched {
-	return NewBatched(BatchedConfig{
+	return must(NewBatched(BatchedConfig{
 		Shard:    Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
 		RingSize: 32,
 		BatchMax: 8,
-	})
+	}))
 }
 
 // TestBatchedMatchesShardedReplay drives the same single-threaded mixed
@@ -400,11 +400,11 @@ func TestBatchedConfigValidation(t *testing.T) {
 		{Shard: Config{Mem: mem}, BatchMax: -1},
 		{Shard: Config{Mem: mem, Shards: 3}},
 	} {
-		if _, err := NewBatchedChecked(tc); err == nil {
+		if _, err := NewBatched(tc); err == nil {
 			t.Errorf("config %+v: want error, got nil", tc)
 		}
 	}
-	b, err := NewBatchedChecked(BatchedConfig{Shard: Config{Mem: mem}, RingSize: 16, BatchMax: 64})
+	b, err := NewBatched(BatchedConfig{Shard: Config{Mem: mem}, RingSize: 16, BatchMax: 64})
 	if err != nil {
 		t.Fatalf("BatchMax clamp: %v", err)
 	}

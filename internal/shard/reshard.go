@@ -259,7 +259,6 @@ func (b *Batched) retireShard(bs *batchShard) {
 	bs.wakeWorker()
 	b.retiredOps.Add(bs.slot.ops.Load())
 	snap := bs.slot.ctrl.Snapshot()
-	stats := bs.slot.ctrl.Stats()
 	b.retiredMu.Lock()
 	if !b.haveRetired {
 		b.retiredTel = snap
@@ -267,7 +266,6 @@ func (b *Batched) retireShard(bs *batchShard) {
 	} else {
 		b.retiredTel.Merge(snap)
 	}
-	b.retiredStats.Add(stats)
 	b.retiredBatch.Merge(bs.tel.Snapshot())
 	b.retiredMu.Unlock()
 }

@@ -69,11 +69,11 @@ func TestReshardEquivalence(t *testing.T) {
 			}
 			addrOf := func(w, idx int) uint64 { return uint64(w*perWorker+idx) * BlockBytes }
 			build := func(n int) *Batched {
-				return NewBatched(BatchedConfig{
+				return must(NewBatched(BatchedConfig{
 					Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: n},
 					RingSize: 32,
 					BatchMax: 8,
-				})
+				}))
 			}
 
 			// populate writes version 1 of every block and settles it to
@@ -191,11 +191,11 @@ func TestReshardEquivalence(t *testing.T) {
 // the images a never-resharded memory holds.
 func TestReshardRoundTripByteIdentical(t *testing.T) {
 	build := func() *Batched {
-		return NewBatched(BatchedConfig{
+		return must(NewBatched(BatchedConfig{
 			Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
 			RingSize: 32,
 			BatchMax: 8,
-		})
+		}))
 	}
 	a, b := build(), build()
 	defer a.Close()
@@ -244,11 +244,11 @@ func TestReshardRoundTripByteIdentical(t *testing.T) {
 // out-of-range stripe counts fail without disturbing the memory, and a
 // closed front-end refuses outright.
 func TestReshardRejects(t *testing.T) {
-	m := NewBatched(BatchedConfig{
+	m := must(NewBatched(BatchedConfig{
 		Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
 		RingSize: 32,
 		BatchMax: 8,
-	})
+	}))
 	data := make([]byte, BlockBytes)
 	data[0] = 0xAB
 	if err := m.Write(0, data); err != nil {

@@ -141,20 +141,9 @@ type Controller struct {
 }
 
 // New builds a sharded controller. The zero Config (beyond Mem.Mode) gives
-// the paper's 4 MB / 16-way LLC split across GOMAXPROCS-many shards. New
-// panics on an invalid config (see Config.Normalize); NewChecked reports
-// the error instead.
-func New(cfg Config) *Controller {
-	c, err := NewChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return c
-}
-
-// NewChecked builds a sharded controller, returning an error for an
-// invalid config instead of panicking.
-func NewChecked(cfg Config) (*Controller, error) {
+// the paper's 4 MB / 16-way LLC split across GOMAXPROCS-many shards. An
+// invalid config (see Config.Normalize) is reported as an error.
+func New(cfg Config) (*Controller, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -455,21 +444,6 @@ func (c *Controller) InDRAM(addr uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ctrl.InDRAM(inner)
-}
-
-// Stats aggregates every shard's counters.
-//
-// Deprecated: thin wrapper over the merged telemetry snapshot; use
-// Snapshot in new code.
-func (c *Controller) Stats() memctrl.Stats {
-	var total memctrl.Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st := s.ctrl.Stats()
-		s.mu.Unlock()
-		total.Add(st)
-	}
-	return total
 }
 
 // Snapshot merges every shard's telemetry tree into one Snapshot. All

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"cop/internal/memctrl"
+	"cop/internal/telemetry"
 )
 
 func compressibleData(rng *rand.Rand) []byte {
@@ -30,7 +32,15 @@ func randomData(rng *rand.Rand) []byte {
 // newSharded builds a 4-shard controller whose aggregate LLC matches
 // newUnsharded's, small enough that evictions happen fast.
 func newSharded(m memctrl.Mode) *Controller {
-	return New(Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4})
+	return must(New(Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4}))
+}
+
+// must unwraps a constructor result for fixtures whose config is valid.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func newUnsharded(m memctrl.Mode) *memctrl.Controller {
@@ -41,7 +51,7 @@ func TestShardCountNormalization(t *testing.T) {
 	mem := memctrl.Config{Mode: memctrl.COP, LLCBytes: 64 * 1024, LLCWays: 8}
 	// Valid explicit counts are taken exactly as given.
 	for _, n := range []int{1, 2, 8, 128} {
-		c, err := NewChecked(Config{Mem: mem, Shards: n})
+		c, err := New(Config{Mem: mem, Shards: n})
 		if err != nil {
 			t.Fatalf("Shards=%d: unexpected error %v", n, err)
 		}
@@ -52,26 +62,17 @@ func TestShardCountNormalization(t *testing.T) {
 	// Invalid explicit counts are errors, never silently rounded:
 	// non-powers of two, more shards than the 128 LLC sets, negatives.
 	for _, n := range []int{3, 5, 6, 7, 256, 1024, -1} {
-		if _, err := NewChecked(Config{Mem: mem, Shards: n}); err == nil {
+		if _, err := New(Config{Mem: mem, Shards: n}); err == nil {
 			t.Errorf("Shards=%d: want error, got nil", n)
 		}
 	}
 	// A non-power-of-two set geometry is also an error.
 	bad := memctrl.Config{Mode: memctrl.COP, LLCBytes: 96 * 1024, LLCWays: 8}
-	if _, err := NewChecked(Config{Mem: bad, Shards: 2}); err == nil {
+	if _, err := New(Config{Mem: bad, Shards: 2}); err == nil {
 		t.Error("non-power-of-two set count: want error, got nil")
 	}
-	// New panics where NewChecked errors.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("New(Shards=3): want panic")
-			}
-		}()
-		New(Config{Mem: mem, Shards: 3})
-	}()
 	// Shards=0 auto-selects a power of two clamped to the set count.
-	def, err := NewChecked(Config{Mem: memctrl.Config{Mode: memctrl.COP}})
+	def, err := New(Config{Mem: memctrl.Config{Mode: memctrl.COP}})
 	if err != nil {
 		t.Fatalf("auto shard count: %v", err)
 	}
@@ -173,7 +174,7 @@ func TestShardedMatchesUnshardedReplay(t *testing.T) {
 			if injected == 0 {
 				t.Fatal("fault campaign never hit DRAM-resident blocks")
 			}
-			sa, sb := single.Stats(), sharded.Stats()
+			sa, sb := single.Snapshot().Controller, sharded.Snapshot().Controller
 			if sa.CorrectedErrors != sb.CorrectedErrors || sa.UncorrectableErrors != sb.UncorrectableErrors {
 				t.Fatalf("classification mismatch: single corrected=%d uncorrectable=%d, sharded corrected=%d uncorrectable=%d",
 					sa.CorrectedErrors, sa.UncorrectableErrors, sb.CorrectedErrors, sb.UncorrectableErrors)
@@ -242,7 +243,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 			if got, want := c.Ops(), uint64(goroutines*opsPerG); got != want {
 				t.Fatalf("Ops() = %d, want %d", got, want)
 			}
-			st := c.Stats()
+			st := c.Snapshot().Controller
 			if st.Loads+st.Stores == 0 || st.Loads+st.Stores > uint64(goroutines*opsPerG) {
 				t.Fatalf("implausible load/store accounting: %+v", st)
 			}
@@ -482,7 +483,7 @@ func TestShardedInjectedErrorEquivalence(t *testing.T) {
 			if uncorrectable == 0 {
 				t.Fatal("double-bit campaign produced no uncorrectable reads")
 			}
-			sa, sb := single.Stats(), sharded.Stats()
+			sa, sb := single.Snapshot().Controller, sharded.Snapshot().Controller
 			if sa.CorrectedErrors != sb.CorrectedErrors || sa.UncorrectableErrors != sb.UncorrectableErrors {
 				t.Fatalf("classification mismatch: single corrected=%d uncorrectable=%d, sharded corrected=%d uncorrectable=%d",
 					sa.CorrectedErrors, sa.UncorrectableErrors, sb.CorrectedErrors, sb.UncorrectableErrors)
@@ -520,7 +521,7 @@ func TestShardedChipFailure(t *testing.T) {
 			t.Fatalf("block %#x corrupted by chip failure", addr)
 		}
 	}
-	if c.Stats().CorrectedErrors == 0 {
+	if c.Snapshot().Controller.CorrectedErrors == 0 {
 		t.Fatal("chip-failure corrections not counted")
 	}
 }
@@ -541,24 +542,20 @@ func TestShardedStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
+	snap := c.Snapshot()
+	st := snap.Controller
 	if st.Stores != n || st.Loads != n {
 		t.Fatalf("aggregate stats wrong: %+v", st)
 	}
 	if c.Ops() != 2*n {
 		t.Fatalf("Ops() = %d, want %d", c.Ops(), 2*n)
 	}
-	var manual memctrl.Stats
+	var manual telemetry.ControllerStats
 	for i := 0; i < c.NumShards(); i++ {
-		manual.Add(c.Shard(i).Stats())
+		manual.Merge(c.Shard(i).Snapshot().Controller)
 	}
-	if manual != st {
-		t.Fatalf("Stats() != sum of shard stats:\n%+v\n%+v", st, manual)
-	}
-	// The merged telemetry snapshot agrees with the legacy wrappers.
-	snap := c.Snapshot()
-	if snap.Controller.Loads != st.Loads || snap.Controller.Stores != st.Stores {
-		t.Fatalf("Snapshot() disagrees with Stats():\n%+v\n%+v", snap.Controller, st)
+	if !reflect.DeepEqual(manual, st) {
+		t.Fatalf("Snapshot() != sum of shard snapshots:\n%+v\n%+v", st, manual)
 	}
 	if snap.Scheme != memctrl.COP.String() {
 		t.Fatalf("scheme = %q", snap.Scheme)

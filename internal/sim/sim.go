@@ -25,6 +25,7 @@ import (
 
 	"cop/internal/core"
 	"cop/internal/dram"
+	"cop/internal/telemetry"
 	"cop/internal/workload"
 )
 
@@ -117,7 +118,7 @@ type Result struct {
 	// CompressedReads / RawReads split the demand misses by the stored
 	// form of the target block.
 	CompressedReads, RawReads uint64
-	DRAM                      dram.Stats
+	DRAM                      telemetry.DRAMStats
 }
 
 // classifier memoizes per-(address,version) compressibility for one
@@ -449,7 +450,7 @@ func runWith(cfg Config, sources []epochSource, profiles []*workload.Profile) (R
 	res.Instructions = totalInstr
 	res.Cycles = maxCycles
 	res.IPC = float64(totalInstr) / float64(maxCycles)
-	res.DRAM = mem.Stats()
+	res.DRAM = mem.Telemetry()
 	return res, nil
 }
 

@@ -271,20 +271,6 @@ func (c *DRAMCounters) Snapshot() DRAMStats {
 	}
 }
 
-// Reset clears every DRAM counter (legacy ResetStats wrapper).
-func (c *DRAMCounters) Reset() {
-	c.Reads.Store(0)
-	c.Writes.Store(0)
-	c.RowHits.Store(0)
-	c.RowMisses.Store(0)
-	c.RowConflicts.Store(0)
-	c.TotalLatency.Store(0)
-	c.TotalQueueDelay.Store(0)
-	c.MaxConcurrent.Store(0)
-	c.AccessLatency.Reset()
-	c.QueueDelay.Reset()
-}
-
 // BatchStats is the batched front-end section (per-shard request rings,
 // merged across shards). Present only when the hierarchy is driven through
 // the batched datapath; a sharded or unsharded controller omits it.

@@ -140,15 +140,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Reset clears the histogram (reset wrappers only).
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // HistogramSnapshot is the frozen form of a Histogram. BucketBound gives
 // each bucket's inclusive upper bound.
 type HistogramSnapshot struct {

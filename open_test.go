@@ -137,21 +137,29 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructors keeps the pre-Open constructors working: the
-// deprecation is doc-level, not behavioral.
-func TestDeprecatedConstructors(t *testing.T) {
-	sm, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{
+// TestConcreteConstructors: NewShardedMemory and NewBatchedMemory build
+// working front-ends and report an invalid config as an error, like Open.
+func TestConcreteConstructors(t *testing.T) {
+	sm, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{
 		Mem: cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	storeRoundTrip(t, sm)
 
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
+	bm, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
 		Shard: cop.ShardedMemoryConfig{Mem: cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bm.Close()
 	storeRoundTrip(t, bm)
+
+	mem := cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}
+	if _, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: mem, Shards: 3}); err == nil {
+		t.Error("NewShardedMemory(Shards=3): want error")
+	}
+	if _, err := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Shard: cop.ShardedMemoryConfig{Mem: mem}, RingSize: 3}); err == nil {
+		t.Error("NewBatchedMemory(RingSize=3): want error")
+	}
 }

@@ -57,7 +57,7 @@ func TestShardedSnapshotByteIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{2, 4, 8} {
-		sharded, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shards})
+		sharded, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,10 @@ func TestSnapshotEquivalentAcrossFrontends(t *testing.T) {
 			memCfg := cop.MemoryConfig{Mode: mode, LLCBytes: 64 * 1024, LLCWays: 8}
 			single := cop.NewMemory(memCfg)
 			driveTrace(t, single.Write, single.Read)
-			sharded := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: memCfg, Shards: 4})
+			sharded, err := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: memCfg, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
 			driveTrace(t, sharded.Write, sharded.Read)
 
 			a, b := single.Snapshot(), sharded.Snapshot()
@@ -96,23 +99,6 @@ func TestSnapshotEquivalentAcrossFrontends(t *testing.T) {
 				t.Errorf("controller/cache sections differ:\n--- unsharded\n%s\n--- sharded\n%s", aj, bj)
 			}
 		})
-	}
-}
-
-// TestLegacyStatsMatchSnapshot pins the deprecation contract: the legacy
-// Stats surfaces are thin wrappers over the snapshot, so both views of the
-// same memory must agree.
-func TestLegacyStatsMatchSnapshot(t *testing.T) {
-	mem := cop.NewMemory(cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8})
-	driveTrace(t, mem.Write, mem.Read)
-	legacy := mem.Stats()
-	snap := mem.Snapshot()
-	if legacy.Loads != snap.Controller.Loads ||
-		legacy.Stores != snap.Controller.Stores ||
-		legacy.StoredCompressed != snap.Controller.StoredCompressed ||
-		legacy.StoredRaw != snap.Controller.StoredRaw ||
-		legacy.CorrectedErrors != snap.Controller.CorrectedErrors {
-		t.Errorf("legacy %+v disagrees with snapshot %+v", legacy, snap.Controller)
 	}
 }
 
